@@ -6,7 +6,10 @@ diagnostics (mixture density and porosity) on a domain whose outer radius
 S(t) is unknown.  The free boundary is closed by solving, at every step,
 the traction balance together with the kinematic condition w(S) = S - R0
 for S; this is the only closure consistent with the stationary limit, where
-the same pair of conditions produces the shrink-radius cubic.
+the same pair of conditions produces the shrink-radius cubic.  Each step
+finds S as a root of the scalar kinematic mismatch, at one banded (w, P)
+solve per evaluation: a secant iteration warm-started from the predicted
+boundary, with Brent's method on a sign-change bracket as the fallback.
 
 Discretization: front-fixing map r = r_in + (S(t) - r_in)*eta with eta in
 [0, 1], so time derivatives at fixed eta acquire the advective correction
@@ -165,6 +168,7 @@ class _Stepper:
         self.S = params.R0
         self.w = np.zeros(config.N + 1)
         self.P = np.full(config.N + 1, params.p_a)
+        self.Sdot = 0.0
         self.rho = np.zeros(config.N + 1)
         self.theta = np.zeros(config.N + 1)
         self.V = np.zeros(config.N + 1)
@@ -189,38 +193,44 @@ class _Stepper:
 
     def solve_wp(self, S: float, dt: float, t_new: float):
         """Backward-Euler solve of the coupled displacement/pressure system
-        on the grid mapped to [r_in, S], for a trial S."""
+        on the grid mapped to [r_in, S], for a trial S.
+
+        Unknowns interleave as (w_0, P_0, w_1, P_1, ...).  Every stencil
+        coefficient is added straight into the (5, 4) band storage, where
+        entry (row, col) lives at ``ab[uband + row - col, col]``.  Entries
+        that several stencil terms share are summed in the order written
+        below; reordering them changes the solution in its last bits.
+        """
         p = self.params
         N = self.N
         h = (S - self.r_in) / N
-        r = self.r_in + h * np.arange(N + 1)
         eta = self.eta
         Sdot = (S - self.S) / dt
         k, ls, lam = p.k, self.ls, p.lam
         quasi = self.config.quasi_static
 
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
+        lband, uband = 5, 4
+        ab = np.zeros((lband + uband + 1, 2 * (N + 1)))
         rhs = np.zeros(2 * (N + 1))
 
-        def add(rr, cc, vv):
-            rows.append(np.asarray(rr, dtype=np.intp))
-            cols.append(np.asarray(cc, dtype=np.intp))
-            vals.append(np.asarray(vv, dtype=float))
+        def diag(row, col, vals, n=N - 1):
+            # entries (row + 2j, col + 2j), j = 0 .. n-1
+            ab[uband + row - col, col:col + 2 * n:2] += vals
 
-        i = np.arange(1, N)          # interior nodes
-        ri = r[1:N]
+        def entries(row, col, vals):
+            # entries (row, col + 2j) of a single row
+            for j, v in enumerate(vals):
+                ab[uband + row - col - 2 * j, col + 2 * j] += v
+
+        ri = self.r_in + h * np.arange(1, N)   # interior nodes i = 1 .. N-1
         Ai = -Sdot * eta[1:N]        # advective factor inside the w_t operator
+        c1 = 1.0 / (2.0 * h)         # central D1 weight
+        inv_2hr = 1.0 / (2.0 * h * ri)
 
-        # Momentum rows (even indices): inertia + P_r - elastic = rhs.
-        mrow = 2 * i
-        cw_m = -ls * (1.0 / h**2 - 1.0 / (2.0 * h * ri))
+        # Momentum rows 2i: inertia + P_r - elastic = rhs.
+        cw_m = -ls * (1.0 / h**2 - inv_2hr)
         cw_0 = -ls * (-2.0 / h**2 - 1.0 / ri**2)
-        cw_p = -ls * (1.0 / h**2 + 1.0 / (2.0 * h * ri))
-        cp_m = np.full(N - 1, -1.0 / (2.0 * h))
-        cp_p = np.full(N - 1, 1.0 / (2.0 * h))
-        mrhs = np.zeros(N - 1)
+        cw_p = -ls * (1.0 / h**2 + inv_2hr)
         if not quasi:
             rho_i = self.rho[1:N]
             # Quadratic velocity products at the previous time level.
@@ -228,66 +238,52 @@ class _Stepper:
             Qn = Vn[1:N] * (self.rho_t[1:N] + rho_i * fd1(Vn, h)[1:N]
                             + rho_i * Vn[1:N] / ri)
             cw_0 = cw_0 + rho_i / dt**2
-            cw_m = cw_m + rho_i / dt * Ai * (-1.0 / (2.0 * h))
-            cw_p = cw_p + rho_i / dt * Ai * (1.0 / (2.0 * h))
-            mrhs = (rho_i * self.w[1:N] / dt**2 + rho_i * Vn[1:N] / dt - Qn)
-        add(mrow, 2 * (i - 1), cw_m)
-        add(mrow, 2 * i, cw_0)
-        add(mrow, 2 * (i + 1), cw_p)
-        add(mrow, 2 * (i - 1) + 1, cp_m)
-        add(mrow, 2 * (i + 1) + 1, cp_p)
-        rhs[mrow] = mrhs
+            cw_m = cw_m + rho_i / dt * Ai * (-c1)
+            cw_p = cw_p + rho_i / dt * Ai * c1
+            rhs[2:2 * N:2] = (rho_i * self.w[1:N] / dt**2 + rho_i * Vn[1:N] / dt
+                              - Qn)
+        diag(2, 0, cw_m)             # w_{i-1}
+        diag(2, 2, cw_0)             # w_i
+        diag(2, 4, cw_p)             # w_{i+1}
+        diag(2, 1, -c1)              # P_{i-1}
+        diag(2, 5, c1)               # P_{i+1}
 
-        # Volume-balance rows (odd indices):
+        # Volume-balance rows 2i+1:
         #   (D1 V)_i + V_i/r_i - (k/2)(D2 P + D1 P / r)_i = 0,
         # with V_j = (w_j - w^n_j)/dt - Sdot*eta_j*(D1 w)_j.
-        crow = 2 * i + 1
-        add(crow, 2 * (i - 1) + 1, -(k / 2.0) * (1.0 / h**2 - 1.0 / (2.0 * h * ri)))
-        add(crow, 2 * i + 1, np.full(N - 1, -(k / 2.0) * (-2.0 / h**2)))
-        add(crow, 2 * (i + 1) + 1, -(k / 2.0) * (1.0 / h**2 + 1.0 / (2.0 * h * ri)))
+        diag(3, 1, -(k / 2.0) * (1.0 / h**2 - inv_2hr))
+        diag(3, 3, -(k / 2.0) * (-2.0 / h**2))
+        diag(3, 5, -(k / 2.0) * (1.0 / h**2 + inv_2hr))
         wn = self.w
-        for node, a in ((i - 1, np.full(N - 1, -1.0 / (2.0 * h))),
-                        (i, 1.0 / ri),
-                        (i + 1, np.full(N - 1, 1.0 / (2.0 * h)))):
-            add(crow, 2 * node, a / dt)
-            rhs[crow] += a * wn[node] / dt
-            # Advective part of V at the touched node; eta[0] = 0 makes the
-            # inner-node contribution vanish, the outer node needs the
-            # one-sided stencil and is patched below.
-            interior = (node >= 1) & (node <= N - 1)
-            Aj = -Sdot * eta[node]
-            coef = a * Aj
-            add(crow[interior], 2 * (node[interior] - 1),
-                coef[interior] * (-1.0 / (2.0 * h)))
-            add(crow[interior], 2 * (node[interior] + 1),
-                coef[interior] * (1.0 / (2.0 * h)))
+        for s, a in ((-1, -c1), (0, 1.0 / ri), (1, c1)):
+            # node j = i + s
+            diag(3, 2 + 2 * s, a / dt)
+            rhs[3:2 * N:2] += a * wn[1 + s:N + s] / dt
+            # Advective part of V_j through its central D1 stencil, for the
+            # interior nodes j only; eta[0] = 0 makes the inner node's part
+            # vanish, and the outer node's one-sided stencil is patched below.
+            lo, hi = max(0, -s), N - 1 - max(0, s)
+            coef = a * (-Sdot * eta[1 + s + lo:1 + s + hi])
+            diag(3 + 2 * lo, 2 * (lo + s), coef * (-c1), hi - lo)
+            diag(3 + 2 * lo, 2 * (lo + s + 2), coef * c1, hi - lo)
         # Patch: row i = N-1 touches V_N whose D1 stencil is one-sided.
-        AN = -Sdot * eta[N]
-        aN = 1.0 / (2.0 * h)
-        add([2 * (N - 1) + 1] * 3,
-            [2 * (N - 2), 2 * (N - 1), 2 * N],
-            [aN * AN * 0.5 / h, aN * AN * (-2.0) / h, aN * AN * 1.5 / h])
+        cN = c1 * (-Sdot * eta[N])
+        entries(2 * N - 1, 2 * N - 4,
+                (cN * 0.5 / h, cN * (-2.0) / h, cN * 1.5 / h))
 
         # Boundary rows.
-        add([0], [0], [1.0])                       # w(inner) = 0
+        entries(0, 0, (1.0,))                      # w(inner) = 0
         if self.geometry == "annulus":
-            add([1], [1], [1.0])                   # P(inner) = p_a
+            entries(1, 1, (1.0,))                  # P(inner) = p_a
             rhs[1] = p.p_a
         else:
-            add([1, 1, 1], [1, 3, 5], [-1.5 / h, 2.0 / h, -0.5 / h])  # P_r(0) = 0
-        add([2 * N] * 3,
-            [2 * (N - 2), 2 * (N - 1), 2 * N],
-            [ls * 0.5 / h, -ls * 2.0 / h, ls * 1.5 / h + lam / S])
+            entries(1, 1, (-1.5 / h, 2.0 / h, -0.5 / h))   # P_r(0) = 0
+        entries(2 * N, 2 * N - 4,
+                (ls * 0.5 / h, -ls * 2.0 / h, ls * 1.5 / h + lam / S))
         rhs[2 * N] = self.traction_rhs(t_new, S)
-        add([2 * N + 1], [2 * N + 1], [1.0])       # P(outer) = p_a
+        entries(2 * N + 1, 2 * N + 1, (1.0,))      # P(outer) = p_a
         rhs[2 * N + 1] = p.p_a
 
-        rr = np.concatenate(rows)
-        cc = np.concatenate(cols)
-        vv = np.concatenate(vals)
-        lband, uband = 5, 4
-        ab = np.zeros((lband + uband + 1, 2 * (N + 1)))
-        np.add.at(ab, (uband + rr - cc, cc), vv)
         z = solve_banded((lband, uband), ab, rhs)
         w_sol, P_sol = z[0::2], z[1::2]
         # pin the Dirichlet rows exactly (LU leaves rounding-level residue)
@@ -300,12 +296,16 @@ class _Stepper:
     # ---- free-boundary scalar solve ---------------------------------------
 
     def solve_step(self, dt: float):
-        """Advance one step of size dt; returns the new (S, w, P) triple.
+        """Advance one step of size dt; returns (S, w, P, solves).
 
-        The kinematic mismatch g(S) = w(S) - (S - R0) is driven to zero by
-        bracketing a sign change (expanding probes from the previous
-        boundary position) followed by Brent's method, which is robust to
-        the shallow slopes that occur during the fast early-shrink phase.
+        The kinematic mismatch g(S) = w(S) - (S - R0) costs one (w, P) solve
+        per evaluation.  The previous boundary S_n is tried first, which
+        keeps a resting boundary exactly at rest.  Otherwise, g being smooth
+        and monotone, a secant iteration starts from the predicted boundary
+        S_n + Sdot_n*dt and accepts at |g| <= tol_g.  If |g| fails to halve,
+        turns non-finite or the iterate leaves [s_min, s_max], Brent's
+        method takes over on the tightest sign change seen so far, or on one
+        found by expanding probes from S_n.
         """
         t_new = self.t + dt
         R0 = self.params.R0
@@ -315,57 +315,74 @@ class _Stepper:
         tol_g = 1e-12 * max(R0, 1.0)
 
         cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        evals = 0
 
         def g(S: float) -> float:
-            nonlocal evals
             if S not in cache:
                 cache[S] = self.solve_wp(S, dt, t_new)
-                evals += 1
             w, _ = cache[S]
             return float(w[-1] - (S - R0))
 
         def finish(S: float):
             w, P = cache[S]
-            return S, w, P, evals
+            return S, w, P, len(cache)
+
+        def probe_bracket():
+            # g decreases in S for this closure, so the root lies on the side
+            # g0 points to; probe outward with growing steps until the sign
+            # flips, falling back to the opposite side if it never does.
+            for direction in (math.copysign(1.0, g0), -math.copysign(1.0, g0)):
+                prev_s, prev_g = s0, g0
+                step = max(abs(g0), 1e-9 * span) * direction
+                for _ in range(60):
+                    s_next = min(max(s0 + step, s_min), s_max)
+                    g_next = g(s_next)
+                    if (g_next > 0) != (prev_g > 0) or g_next == 0.0:
+                        return (min(prev_s, s_next), max(prev_s, s_next))
+                    if s_next in (s_min, s_max):
+                        break
+                    prev_s, prev_g = s_next, g_next
+                    step *= 1.7
+            return None
 
         s0 = self.S
         g0 = g(s0)
         if abs(g0) <= tol_g:
             return finish(s0)
 
-        # g decreases in S for this closure, so the root lies on the side
-        # g0 points to; probe outward with growing steps until the sign
-        # flips, falling back to the opposite side if it never does.
-        for direction in (math.copysign(1.0, g0), -math.copysign(1.0, g0)):
-            prev_s, prev_g = s0, g0
-            step = max(abs(g0), 1e-9 * span) * direction
-            bracket = None
-            for _ in range(60):
-                s_next = min(max(s0 + step, s_min), s_max)
-                g_next = g(s_next)
-                if g_next == 0.0:
-                    return finish(s_next)
-                if (g_next > 0) != (prev_g > 0):
-                    bracket = (prev_s, s_next) if prev_s < s_next else (s_next, prev_s)
-                    break
-                if s_next in (s_min, s_max):
-                    break
-                prev_s, prev_g = s_next, g_next
-                step *= 1.7
-            if bracket is not None:
-                root = brentq(g, bracket[0], bracket[1],
-                              xtol=1e-15, rtol=4 * np.finfo(float).eps,
-                              maxiter=120)
-                g_root = g(root)
-                if abs(g_root) > 1e-9 * max(R0, 1.0):
-                    raise SimulationError(
-                        f"free-boundary root rejected at t={t_new}",
-                        iterations=evals, last_residual=abs(g_root))
-                return finish(root)
-        raise SimulationError(
-            f"free-boundary solve found no bracket at t={t_new}",
-            iterations=evals, last_residual=abs(g0))
+        # Secant iteration from the predicted boundary; a boundary at rest
+        # predicts itself, so it takes the unit-slope step s0 + g0 instead.
+        s_prev, g_prev = s0, g0
+        s_next = s0 + self.Sdot * dt
+        if s_next == s0:
+            s_next = s0 + g0
+        while s_min <= s_next <= s_max:
+            g_next = g(s_next)
+            if abs(g_next) <= tol_g:
+                return finish(s_next)
+            if not abs(g_next) <= 0.5 * abs(g_prev):
+                break
+            s_prev, g_prev, s_next = s_next, g_next, s_next - g_next * (
+                s_next - s_prev) / (g_next - g_prev)
+
+        # Stalled: hand the tightest sign change seen to Brent's method.
+        finite = sorted((s, g(s)) for s in cache if math.isfinite(g(s)))
+        brackets = [(a, b) for (a, ga), (b, gb) in zip(finite, finite[1:])
+                    if (ga > 0) != (gb > 0)]
+        bracket = min(brackets, key=lambda ab: ab[1] - ab[0], default=None)
+        if bracket is None and math.isfinite(g0):
+            bracket = probe_bracket()
+        if bracket is None:
+            raise SimulationError(
+                f"free-boundary solve found no bracket at t={t_new}",
+                iterations=len(cache), last_residual=abs(g0))
+        root = brentq(g, bracket[0], bracket[1],
+                      xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=120)
+        g_root = g(root)
+        if abs(g_root) > 1e-9 * max(R0, 1.0):
+            raise SimulationError(
+                f"free-boundary root rejected at t={t_new}",
+                iterations=len(cache), last_residual=abs(g_root))
+        return finish(root)
 
     # ---- transported diagnostics -------------------------------------------
 
@@ -502,6 +519,7 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
         st.rho_t = (rho_new - st.rho) / dt_try
         st.t += dt_try
         st.S = S_new
+        st.Sdot = Sdot
         st.w = w_new
         st.P = P_new
         st.V = V_new

@@ -156,6 +156,9 @@ class TestTransientCommand:
                      "kinematic_residual"):
             assert np.all(np.isfinite(column(tmp_path / "trajectory.csv",
                                              name)))
+        # every accepted boundary passed the root-acceptance bound 1e-9*R0
+        kin = column(tmp_path / "trajectory.csv", "kinematic_residual")
+        assert np.all(kin <= 1e-9 * 2.0)
         final_S = column(tmp_path / "trajectory.csv", "S")[-1]
         assert final_S == pytest.approx(1.32696, abs=5e-4)
         assert (tmp_path / "final_profile.csv").exists()

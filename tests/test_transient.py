@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from pemsim.core import ModelParams
 from pemsim.residuals import residual_ring
 from pemsim.stationary import neumann_solution, rst_cubic
 from pemsim.transient import (PhysicalBoundsError, RadialState, SimConfig,
-                              fd1, fd2, ring_source_from_states, simulate,
+                              SimulationError, _Stepper, fd1, fd2,
+                              ring_source_from_states, simulate,
                               steady_state_check)
 
 HEAVY = ModelParams.reference(F0=16 * math.pi)
@@ -41,6 +44,124 @@ class TestFiniteDifferenceHelpers:
         # edges included
         assert abs(d1[0] - math.cos(xs[0])) < 5e-3
         assert abs(d2[-1] + math.sin(xs[-1])) < 5e-2
+
+
+class TestBandAssembly:
+    """The (w, P) solve against the discrete equations rebuilt from fd1/fd2."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=hst.integers(0, 2**32 - 1), N=hst.integers(16, 120),
+           geometry=hst.sampled_from(["annulus", "circle"]),
+           quasi=hst.booleans())
+    def test_solution_satisfies_discrete_equations(self, seed, N, geometry,
+                                                   quasi):
+        rng = np.random.default_rng(seed)
+        p = ModelParams.reference(F0=rng.uniform(0.0, 16 * math.pi),
+                                  p_a=rng.uniform(-0.5, 0.5))
+        st = _Stepper(p, SimConfig(N=N, quasi_static=quasi), geometry)
+        # a random previous state and trial boundary
+        st.S = p.R0 * rng.uniform(0.7, 1.0)
+        st.w = 0.1 * rng.normal(size=N + 1)
+        st.P = p.p_a + 0.1 * rng.normal(size=N + 1)
+        st.rho = rng.uniform(0.5, 2.0, N + 1)
+        st.V = rng.normal(size=N + 1)
+        st.rho_t = rng.normal(size=N + 1)
+        dt = rng.uniform(1e-4, 1e-2)
+        S = st.S * (1.0 + 0.01 * rng.normal())
+        w, P = st.solve_wp(S, dt, 0.5)
+
+        h = (S - st.r_in) / N
+        r = st.r_in + h * np.arange(N + 1)
+        Sdot = (S - st.S) / dt
+        ls = p.lam + 2.0 * p.mu
+        wmax, Pmax = np.max(np.abs(w)), np.max(np.abs(P))
+        i, ri = slice(1, N), r[1:N]
+
+        # Momentum: rho (V - V^n)/dt + Q^n + P_r - ls (w_rr + w_r/r - w/r^2).
+        V = (w - st.w) / dt - Sdot * st.eta * fd1(w, h)
+        mom = fd1(P, h)[i] - ls * (fd2(w, h)[i] + fd1(w, h)[i] / ri
+                                   - w[i] / ri**2)
+        mom_scale = ls * (4.0 / h**2 + 1.0 / (h * ri) + 1.0 / ri**2) * wmax \
+            + Pmax / h
+        if not quasi:
+            rho, Vn = st.rho[i], st.V
+            Qn = Vn[i] * (st.rho_t[i] + rho * fd1(Vn, h)[i] + rho * Vn[i] / ri)
+            mom = mom + rho * (V[i] - Vn[i]) / dt + Qn
+            mom_scale = mom_scale + rho * (
+                (wmax + np.max(np.abs(st.w))) / dt**2
+                + abs(Sdot) / (h * dt) * wmax + np.abs(Vn[i]) / dt) + np.abs(Qn)
+        # Volume balance: V_r + V/r - (k/2) (P_rr + P_r/r).
+        vol = fd1(V, h)[i] + V[i] / ri - 0.5 * p.k * (fd2(P, h)[i]
+                                                     + fd1(P, h)[i] / ri)
+        Vmax = (wmax + np.max(np.abs(st.w))) / dt + abs(Sdot) * 4.0 / h * wmax
+        vol_scale = Vmax * (4.0 / h + 1.0 / ri) \
+            + 0.5 * p.k * (4.0 / h**2 + 2.0 / (h * ri)) * Pmax
+        assert np.all(np.abs(mom) <= 1e-11 * mom_scale)
+        assert np.all(np.abs(vol) <= 1e-11 * vol_scale)
+
+        # Boundary rows: w = 0 inside, P = p_a (annulus) or P_r = 0 (circle)
+        # inside, traction and P = p_a at the outer boundary.
+        assert w[0] == 0.0 and P[-1] == p.p_a
+        if geometry == "annulus":
+            assert P[0] == p.p_a
+        else:
+            assert abs(fd1(P, h)[0]) <= 1e-11 * 4.0 / h * Pmax
+        traction = ls * fd1(w, h)[-1] + p.lam * w[-1] / S
+        target = -p.F0 / (2.0 * math.pi * S)
+        assert abs(traction - target) <= 1e-11 * (
+            ls * 4.0 / h * wmax + p.lam * wmax / S + abs(target))
+
+
+class TestFailuresStayLoud:
+    """A free-boundary solve that cannot succeed raises SimulationError
+    once the step has been halved max_dt_halvings times."""
+
+    def _fail(self, monkeypatch, g_of_S):
+        dts = []
+
+        def fake_solve_wp(self, S, dt, t_new):
+            dts.append(dt)
+            w = np.full(self.N + 1, S - self.params.R0 + g_of_S(S))
+            return w, np.full(self.N + 1, self.params.p_a)
+
+        monkeypatch.setattr(_Stepper, "solve_wp", fake_solve_wp)
+        cfg = SimConfig(N=16, dt=1e-3, t_end=0.1)
+        with pytest.raises(SimulationError) as err:
+            simulate(GENTLE, cfg, theta0=0.7)
+        assert type(err.value) is SimulationError
+        assert err.value.iterations > 0
+        assert sorted(set(dts), reverse=True) == [
+            cfg.dt * 0.5**j for j in range(cfg.max_dt_halvings + 1)]
+        return err.value
+
+    def test_nan_solve(self, monkeypatch):
+        err = self._fail(monkeypatch, lambda S: math.nan)
+        assert "no bracket" in str(err)
+        assert math.isnan(err.last_residual)
+
+    def test_no_sign_change(self, monkeypatch):
+        err = self._fail(monkeypatch, lambda S: 1.0)
+        assert "no bracket" in str(err)
+        assert err.last_residual == 1.0
+
+    def test_sign_change_without_root(self, monkeypatch):
+        # g jumps from +1 to -1 at S = 1.95: Brent closes in on the jump
+        err = self._fail(monkeypatch, lambda S: 1.0 if S < 1.95 else -1.0)
+        assert "rejected" in str(err)
+        assert err.last_residual == 1.0
+
+
+class TestTemporalOrder:
+    def test_backward_euler_self_convergence(self):
+        # S(t_end) under dt, dt/2, dt/4, dt/8: differences halve (order 1)
+        S = []
+        for dt in (8e-3, 4e-3, 2e-3, 1e-3):
+            cfg = SimConfig(N=48, dt=dt, t_end=0.4, load_ramp=0.2,
+                            stop_when_steady=False)
+            S.append(simulate(GENTLE, cfg, theta0=0.7)[-1].S)
+        d = np.diff(S)
+        ratios = d[:-1] / d[1:]
+        assert np.all((ratios >= 1.8) & (ratios <= 2.2)), ratios
 
 
 class TestUnloadedEquilibrium:
