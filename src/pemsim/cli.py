@@ -2,7 +2,9 @@
 
 Configuration is a flat ``key = value`` text file with ``#`` comments; every
 key can be overridden by a command-line flag of the same name (dashed
-aliases exist for multi-word keys).  Unknown keys are rejected.  All output
+aliases exist for multi-word keys).  The model and simulation keys are the
+field names of ``ModelParams`` and ``SimConfig``, with their defaults apart
+from the load F0 = 16*pi.  Unknown keys are rejected.  All output
 is deterministic: numbers serialize in 17-significant-digit scientific
 notation, rows come in a fixed order, and plots are hand-emitted SVG.
 
@@ -14,16 +16,15 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ModelParams, ParameterError, validate_params
+from .core import ModelParams
 from .fields import random_polynomial_field
 from .polynomials import Poly2
 from .residuals import terzaghi_stress_radial
@@ -40,42 +41,19 @@ class ConfigError(ValueError):
     """Unusable configuration (unknown key, bad value, missing input)."""
 
 
-_FLOAT, _INT, _BOOL, _STR, _FLOATLIST = "float", "int", "bool", "str", "floatlist"
-
-_PARAM_KEYS = ("k", "lam", "mu", "rho_f0", "D", "S_sieve", "sigma1",
-               "p_a", "p_st", "F0", "r0", "R0")
-
-SCHEMA: dict[str, object] = {
-    # model parameters
-    **{key: _FLOAT for key in _PARAM_KEYS},
-    # simulation controls
-    "N": _INT, "dt": _FLOAT, "t_end": _FLOAT, "quasi_static": _BOOL,
-    "steady_tol": _FLOAT, "load_ramp": _FLOAT, "load_end": _FLOAT,
-    "traction_form": ("choice", ("annulus", "ring")), "output_every": _INT,
-    # run options
-    "case": ("choice", ("dirichlet", "neumann")),
-    "geometry": ("choice", ("circle", "annulus")),
-    "out": _STR,
-    "samples": _INT,
-    "svg": _BOOL,
-    "r_st": _STR,          # "auto" or a number
-    "seed": _INT,
-    "tol": _FLOAT,
-    "elements": _STR,      # comma-separated group element names
-    "field": ("choice", ("stationary", "polynomial")),
-    "sweep_key": _STR,
-    "sweep_values": _FLOATLIST,
-    "rho0": _FLOAT,
-    "theta0": _FLOAT,
-}
+# Model keys are the ModelParams fields and simulation keys the SimConfig
+# fields, with their defaults; only the load differs from the reference set.
+_MODEL_DEFAULTS = asdict(ModelParams.reference(F0=16.0 * math.pi))
+_SIM_DEFAULTS = {f.name: f.default for f in fields(SimConfig)
+                 if f.name != "stop_when_steady"}
+_CHOICES = {"case": ("dirichlet", "neumann"), "geometry": ("circle", "annulus"),
+            "field": ("stationary", "polynomial")}
 
 DEFAULTS: dict[str, object] = {
-    "k": 1.0, "lam": 1.0, "mu": 1.0, "rho_f0": 1.0, "D": 1.0,
-    "S_sieve": 0.5, "sigma1": 1.0, "p_a": 0.0, "p_st": 0.0,
-    "F0": 16.0 * math.pi, "r0": 1.0, "R0": 2.0,
-    "N": 200, "dt": 2e-3, "t_end": 3.0, "quasi_static": True,
-    "steady_tol": 1e-9, "load_ramp": 0.0, "load_end": math.inf,
-    "traction_form": "annulus", "output_every": 10,
+    **_MODEL_DEFAULTS,
+    **_SIM_DEFAULTS,
+    # run options; r_st is "auto" or a number, elements a comma-separated
+    # list of group element names
     "case": "neumann", "geometry": "annulus", "out": "out",
     "samples": 101, "svg": False, "r_st": "auto", "seed": 1234,
     "tol": 1e-12,
@@ -90,37 +68,41 @@ DEFAULTS: dict[str, object] = {
 _ALIASES = {"lambda": "lam"}
 
 
-def _coerce(key: str, value: object) -> object:
-    rule = SCHEMA[key]
-    if not isinstance(value, str):
-        return value
+def _coerce(key: str, value: str) -> object:
+    """Parse one raw value by the type of the key's default."""
+    kind = type(DEFAULTS[key])
     text = value.strip()
     try:
-        if rule == _FLOAT:
-            return float(text)
-        if rule == _INT:
-            as_float = float(text)
-            if as_float != int(as_float):
-                raise ValueError
-            return int(as_float)
-        if rule == _BOOL:
+        if kind is bool:
             low = text.lower()
             if low in ("true", "on", "1", "yes"):
                 return True
             if low in ("false", "off", "0", "no"):
                 return False
             raise ValueError
-        if rule == _FLOATLIST:
-            if not text:
-                return []
-            return [float(part) for part in text.split(",")]
-        if isinstance(rule, tuple) and rule[0] == "choice":
-            if text not in rule[1]:
+        if kind is int:
+            as_float = float(text)
+            if as_float != int(as_float):
                 raise ValueError
-            return text
+            return int(as_float)
+        if kind is float:
+            return float(text)
+        if kind is list:
+            return [float(part) for part in text.split(",")] if text else []
+        if key in _CHOICES and text not in _CHOICES[key]:
+            raise ValueError
         return text
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"bad value for '{key}': {value!r}") from None
+
+
+@contextmanager
+def _as_config_error():
+    """Report a ValueError raised on the user's values as a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -138,7 +120,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         key = _ALIASES.get(key, key)
-        if key not in SCHEMA:
+        if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         out[key] = value
     return out
@@ -159,24 +141,13 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         for key, raw in parse_config_file(args.config).items():
             values[key] = _coerce(key, raw)
-    for key in SCHEMA:
-        supplied = getattr(args, key, None)
+    for key in DEFAULTS:
+        supplied = getattr(args, key)
         if supplied is not None:
             values[key] = _coerce(key, supplied)
-    try:
-        params = validate_params({key: values[key] for key in _PARAM_KEYS})
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        sim = SimConfig(
-            N=values["N"], dt=values["dt"], t_end=values["t_end"],
-            quasi_static=values["quasi_static"], steady_tol=values["steady_tol"],
-            load_ramp=values["load_ramp"], load_end=values["load_end"],
-            traction_form=values["traction_form"],
-            output_every=values["output_every"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    with _as_config_error():
+        params = ModelParams(**{key: values[key] for key in _MODEL_DEFAULTS})
+        sim = SimConfig(**{key: values[key] for key in _SIM_DEFAULTS})
     out_dir = Path(values["out"]).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
     return RunConfig(params=params, sim=sim, options=values, out_dir=out_dir)
@@ -274,17 +245,18 @@ def _resolve_r_st(config: RunConfig) -> float:
             return float(raw)
         except ValueError:
             raise ConfigError(f"r_st must be 'auto' or a number, got {raw!r}")
-    if config.options["case"] == "neumann":
-        return rst_cubic(config.params).r_st
-    return rst_dirichlet(config.params).r_st
+    solve = rst_cubic if config.options["case"] == "neumann" else rst_dirichlet
+    with _as_config_error():
+        return solve(config.params).r_st
 
 
 def cmd_stationary(config: RunConfig) -> int:
     params = config.params
     case = str(config.options["case"])
     r_st = _resolve_r_st(config)
-    sol = (neumann_solution if case == "neumann" else dirichlet_solution)(
-        params, r_st)
+    with _as_config_error():   # an explicit r_st must exceed r0
+        sol = (neumann_solution if case == "neumann" else dirichlet_solution)(
+            params, r_st)
     radii = np.linspace(params.r0, r_st, int(config.options["samples"]))
     rows = []
     for r in radii:
@@ -308,7 +280,8 @@ def cmd_stationary(config: RunConfig) -> int:
 
 
 def cmd_rst(config: RunConfig) -> int:
-    report = rst_cubic(config.params)
+    with _as_config_error():
+        report = rst_cubic(config.params)
     a3, a2, a1, a0 = report.coefficients
     print(f"cubic coefficients: a3={_fmt(a3)} a2={_fmt(a2)} "
           f"a1={_fmt(a1)} a0={_fmt(a0)}")
@@ -410,7 +383,8 @@ def cmd_symmetry(config: RunConfig) -> int:
         raise ConfigError("elements list is empty")
 
     if config.options["field"] == "stationary":
-        r_st = rst_cubic(params).r_st
+        with _as_config_error():
+            r_st = rst_cubic(params).r_st
         field = neumann_solution(params, r_st).as_cartesian_source(
             rho=params.rho_f0, thetaF=0.5)
         lo = params.r0 + 0.1 * (r_st - params.r0)
@@ -444,28 +418,24 @@ def cmd_symmetry(config: RunConfig) -> int:
 
 def cmd_sweep(config: RunConfig) -> int:
     key = str(config.options["sweep_key"])
-    if key not in _PARAM_KEYS:
+    if key not in _MODEL_DEFAULTS:
         raise ConfigError(f"sweep_key must be a model parameter, got '{key}'")
     values = list(config.options["sweep_values"])
     if not values:
         raise ConfigError("sweep_values is empty")
 
-    def one(value: float):
-        params = validate_params({**{k: getattr(config.params, k)
-                                     for k in _PARAM_KEYS}, key: value})
-        report = rst_cubic(params)
+    rows = []
+    for value in values:
+        with _as_config_error():
+            params = replace(config.params, **{key: value})
+            report = rst_cubic(params)
         a3, a2, a1, a0 = report.coefficients
         if params.F0 > 0:
             oracle = bisect_root(report.cubic, params.r0, params.R0)
         else:
             oracle = params.R0
-        return (value, a3, a2, a1, a0, report.r_st, report.cubic_at_r0,
-                report.cubic_at_R0, oracle, abs(oracle - report.r_st))
-
-    workers = os.environ.get("PEM_SIM_THREADS")
-    max_workers = max(1, int(workers)) if workers else min(4, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(one, values))
+        rows.append((value, a3, a2, a1, a0, report.r_st, report.cubic_at_r0,
+                     report.cubic_at_R0, oracle, abs(oracle - report.r_st)))
     write_csv(config.out_dir / "rst.csv",
               (key, "a3", "a2", "a1", "a0", "r_st", "cubic_at_r0",
                "cubic_at_R0", "bisection_root", "oracle_gap"), rows)
@@ -492,12 +462,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key = value config file")
-        for key in SCHEMA:
+        for key in DEFAULTS:
             flags = [f"--{key}"]
             if "_" in key:
                 flags.append(f"--{key.replace('_', '-')}")
-            if key == "lam":
-                flags.append("--lambda")
+            flags += [f"--{a}" for a, target in _ALIASES.items() if target == key]
             p.add_argument(*flags, dest=key, default=None)
     return parser
 

@@ -45,7 +45,12 @@ __all__ = [
     "ring_source_from_states",
     "fd1",
     "fd2",
+    "MAX_DT_HALVINGS",
 ]
+
+# A step that fails is retried at half the step size this many times before
+# simulate gives up and raises.
+MAX_DT_HALVINGS = 12
 
 
 class SimulationError(RuntimeError):
@@ -80,7 +85,6 @@ class SimConfig:
     traction_form: str = "annulus"   # "annulus": -F0/(2 pi S); "ring": p_a - F0
     output_every: int = 10
     stop_when_steady: bool = True
-    max_dt_halvings: int = 12
 
     def __post_init__(self) -> None:
         if self.N < 16:
@@ -496,7 +500,7 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
                 break
             except SimulationError:
                 halvings += 1
-                if halvings > config.max_dt_halvings:
+                if halvings > MAX_DT_HALVINGS:
                     raise
                 dt_try *= 0.5
         if halvings > 0:

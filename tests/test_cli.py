@@ -1,9 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pemsim.cli import main, parse_config_file
+from pemsim.cli import (DEFAULTS, _build_parser, build_run_config, main,
+                        parse_config_file)
+from pemsim.core import ModelParams
+from pemsim.stationary import rst_cubic
+from pemsim.transient import SimConfig
 
 
 def read_csv(path):
@@ -38,10 +43,25 @@ F0 = 0.0       # unloaded
         assert main(["rst", "--config", str(cfg)]) == 2
 
     def test_bad_value_rejected(self, tmp_path):
-        assert main(["rst", "--mu", "wat", "--out", str(tmp_path)]) == 2
+        for flag, value in (("--mu", "wat"), ("--N", "2.5"), ("--N", "inf"),
+                            ("--traction_form", "bogus")):
+            assert main(["rst", flag, value, "--out", str(tmp_path)]) == 2
 
     def test_invalid_params_exit_2(self, tmp_path):
         assert main(["rst", "--mu", "-1", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["rst", "--F0", "-1"],
+        ["stationary", "--F0", "-1"],
+        ["stationary", "--case", "dirichlet", "--F0", "-1"],
+        ["symmetry", "--F0", "-1"],
+        ["sweep", "--sweep_values", "-1"],
+        ["sweep", "--sweep_key", "mu", "--sweep_values", "1,-1"],
+        ["stationary", "--r_st", "0.5"],
+    ])
+    def test_value_rejected_by_solver_exits_2(self, args, tmp_path, capsys):
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -54,6 +74,35 @@ F0 = 0.0       # unloaded
               "--out", str(tmp_path)])
         out2 = capsys.readouterr().out
         assert out2 != out1
+
+
+class TestSchema:
+    """The CLI keys and defaults are the ModelParams and SimConfig fields."""
+
+    OPTIONS = {"case", "geometry", "out", "samples", "svg", "r_st", "seed",
+               "tol", "elements", "field", "sweep_key", "sweep_values",
+               "rho0", "theta0"}
+
+    def resolve(self, tmp_path, *args):
+        return build_run_config(
+            _build_parser().parse_args(["rst", *args, "--out", str(tmp_path)]))
+
+    def test_keys_are_dataclass_fields(self):
+        model = {f.name for f in dataclasses.fields(ModelParams)}
+        sim = {f.name for f in dataclasses.fields(SimConfig)}
+        assert set(DEFAULTS) == model | (sim - {"stop_when_steady"}) | self.OPTIONS
+        assert len(DEFAULTS) == len(model) + len(sim) - 1 + len(self.OPTIONS)
+
+    def test_defaults_are_dataclass_defaults(self, tmp_path):
+        config = self.resolve(tmp_path)
+        assert config.sim == SimConfig()
+        assert config.params == ModelParams.reference(F0=16 * math.pi)
+
+    def test_whole_number_accepted_for_float_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_end = 2\n")
+        sim = self.resolve(tmp_path, "--config", str(cfg)).sim
+        assert sim.t_end == 2.0 and isinstance(sim.t_end, float)
 
 
 class TestStationaryCommand:
@@ -119,11 +168,14 @@ class TestSweepCommand:
         gap = column(tmp_path / "rst.csv", "oracle_gap")
         assert np.all(gap <= 1e-10 * 2.0)
 
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PEM_SIM_THREADS", "1")
-        rc = main(["sweep", "--sweep_values", "0,10,20",
+    def test_rows_follow_input_order(self, tmp_path):
+        values = [20.0, 0.0, 40.0, 10.0]
+        rc = main(["sweep", "--sweep_values", ",".join(map(str, values)),
                    "--out", str(tmp_path)])
         assert rc == 0
+        assert list(column(tmp_path / "rst.csv", "F0")) == values
+        assert list(column(tmp_path / "rst.csv", "r_st")) == [
+            rst_cubic(ModelParams.reference(F0=v)).r_st for v in values]
 
     def test_empty_values_rejected(self, tmp_path):
         assert main(["sweep", "--sweep_values", "", "--out", str(tmp_path)]) == 2

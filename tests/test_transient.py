@@ -8,10 +8,10 @@ from hypothesis import strategies as hst
 from pemsim.core import ModelParams
 from pemsim.residuals import residual_ring
 from pemsim.stationary import neumann_solution, rst_cubic
-from pemsim.transient import (PhysicalBoundsError, RadialState, SimConfig,
-                              SimulationError, _Stepper, fd1, fd2,
-                              ring_source_from_states, simulate,
-                              steady_state_check)
+from pemsim.transient import (MAX_DT_HALVINGS, PhysicalBoundsError,
+                              RadialState, SimConfig, SimulationError,
+                              _Stepper, fd1, fd2, ring_source_from_states,
+                              simulate, steady_state_check)
 
 HEAVY = ModelParams.reference(F0=16 * math.pi)
 GENTLE = ModelParams.reference(F0=2 * math.pi)
@@ -114,7 +114,7 @@ class TestBandAssembly:
 
 class TestFailuresStayLoud:
     """A free-boundary solve that cannot succeed raises SimulationError
-    once the step has been halved max_dt_halvings times."""
+    once the step has been halved MAX_DT_HALVINGS times."""
 
     def _fail(self, monkeypatch, g_of_S):
         dts = []
@@ -131,7 +131,7 @@ class TestFailuresStayLoud:
         assert type(err.value) is SimulationError
         assert err.value.iterations > 0
         assert sorted(set(dts), reverse=True) == [
-            cfg.dt * 0.5**j for j in range(cfg.max_dt_halvings + 1)]
+            cfg.dt * 0.5**j for j in range(MAX_DT_HALVINGS + 1)]
         return err.value
 
     def test_nan_solve(self, monkeypatch):
