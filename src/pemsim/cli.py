@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, ParameterError
 from .fields import random_polynomial_field
 from .polynomials import Poly2
 from .residuals import terzaghi_stress_radial
@@ -253,11 +253,14 @@ def _resolve_r_st(config: RunConfig) -> float:
 def cmd_stationary(config: RunConfig) -> int:
     params = config.params
     case = str(config.options["case"])
+    samples = int(config.options["samples"])
+    if samples < 1:
+        raise ConfigError(f"samples must be at least 1, got {samples}")
     r_st = _resolve_r_st(config)
     with _as_config_error():   # an explicit r_st must exceed r0
         sol = (neumann_solution if case == "neumann" else dirichlet_solution)(
             params, r_st)
-    radii = np.linspace(params.r0, r_st, int(config.options["samples"]))
+    radii = np.linspace(params.r0, r_st, samples)
     rows = []
     for r in radii:
         w = sol.displacement(r)
@@ -302,6 +305,8 @@ def cmd_transient(config: RunConfig) -> int:
         states = simulate(params, config.sim, geometry=geometry,
                           rho0=float(config.options["rho0"]),
                           theta0=float(config.options["theta0"]))
+    except ParameterError as exc:   # bad initial density or porosity
+        raise ConfigError(str(exc)) from None
     except SimulationError as exc:
         state = getattr(exc, "state", None)
         if state is not None:

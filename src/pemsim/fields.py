@@ -67,26 +67,17 @@ def _split_query(point: Sequence[float], d: Sequence[int] | None, ndim: int):
 
 
 class PolyFieldSource:
-    """Components given by trivariate polynomials in (t, x, y).
+    """Components given by trivariate polynomials in (t, x, y), exactly."""
 
-    For two-coordinate domains (the ring problem) the trailing polynomial
-    axis is unused and queries carry two coordinates.
-    """
+    ndim = 3
 
-    def __init__(self, components: Mapping[str, PolyTXY], ndim: int = 3) -> None:
-        if ndim not in (2, 3):
-            raise ValueError("ndim must be 2 or 3")
+    def __init__(self, components: Mapping[str, PolyTXY]) -> None:
         self.components = dict(components)
-        self.ndim = ndim
 
     def eval(self, component: str, point: Sequence[float],
              d: Sequence[int] | None = None) -> float:
         point, d = _split_query(point, d, self.ndim)
-        poly = self.components[component]
-        if self.ndim == 2:
-            point = (point[0], point[1], 0.0)
-            d = (d[0], d[1], 0)
-        return poly.deriv(d)(*point)
+        return self.components[component].deriv(d)(*point)
 
 
 def _stencil(order: int, i: int, n: int, h: float) -> tuple[list[int], list[float]]:
@@ -207,34 +198,33 @@ _Profile = tuple[Callable[[float], float], Callable[[float], float],
 
 
 class ProfileSource:
-    """Static fields varying only along one radial coordinate.
+    """Static fields varying only along r, the second query coordinate.
 
-    Each component is a triple of callables (value, first, second
-    derivative in r).  Scalars are accepted as constants.  Derivatives
-    along every other axis (time, angle) are zero, which embeds stationary
-    radial solutions on the (t, r) ring domain (``ndim=2``) or the
-    (t, r, phi) polar domain (``ndim=3``).
+    Queries carry (t, r) on the ring domain (``ndim=2``) or (t, r, phi) on
+    the polar domain (``ndim=3``).  Each component is a triple of callables
+    (value, first, second derivative in r).  Scalars are accepted as
+    constants.  Derivatives along time and angle are zero, which embeds
+    stationary radial solutions on either domain.
     """
 
     def __init__(self, profiles: Mapping[str, _Profile | float],
-                 ndim: int = 2, radial_axis: int = 1) -> None:
+                 ndim: int = 2) -> None:
         self.profiles = dict(profiles)
         self.ndim = ndim
-        self.radial_axis = radial_axis
 
     def eval(self, component: str, point: Sequence[float],
              d: Sequence[int] | None = None) -> float:
         point, d = _split_query(point, d, self.ndim)
         prof = self.profiles[component]
-        order_r = d[self.radial_axis]
-        if any(v > 0 for k, v in enumerate(d) if k != self.radial_axis):
+        order_r = d[1]
+        if sum(d) > order_r:
             return 0.0
         if np.isscalar(prof):
             return float(prof) if order_r == 0 else 0.0
         if order_r > 2:
             raise DerivativeUnavailableError(
                 f"radial derivative order {order_r} not available")
-        return float(prof[order_r](point[self.radial_axis]))
+        return float(prof[order_r](point[1]))
 
 
 class RadialCartesianSource:
@@ -334,13 +324,12 @@ def sample_grid(source: FieldSource, axes: Sequence[np.ndarray | None],
 
 
 def random_polynomial_field(rng: np.random.Generator, degree: int = 2,
-                            time_degree: int = 2, scale: float = 1.0,
-                            components: Sequence[str] = CARTESIAN_COMPONENTS,
-                            ndim: int = 3) -> PolyFieldSource:
-    """Random smooth polynomial field over all requested components."""
+                            time_degree: int = 2,
+                            scale: float = 1.0) -> PolyFieldSource:
+    """Random smooth polynomial field over the six Cartesian components."""
     out: dict[str, PolyTXY] = {}
-    for name in components:
+    for name in CARTESIAN_COMPONENTS:
         coeffs = scale * rng.uniform(-1.0, 1.0,
                                      size=(time_degree + 1, degree + 1, degree + 1))
         out[name] = PolyTXY(coeffs)
-    return PolyFieldSource(out, ndim=ndim)
+    return PolyFieldSource(out)

@@ -12,6 +12,21 @@ import numpy as np
 __all__ = ["Poly2", "PolyTXY", "harmonic_basis", "random_harmonic"]
 
 
+def _deriv_table(coeffs: np.ndarray, orders) -> np.ndarray:
+    """Coefficient table of the derivative of the given order along each axis."""
+    c = coeffs
+    for axis, order in enumerate(orders):
+        for _ in range(order):   # one factor per pass, rounded after each
+            n = c.shape[axis]
+            if n <= 1:
+                return np.zeros((1,) * c.ndim)
+            shape = [1] * c.ndim
+            shape[axis] = n - 1
+            c = c[(slice(None),) * axis + (slice(1, None),)] * np.arange(
+                1, n).reshape(shape)
+    return c
+
+
 class Poly2:
     """Polynomial in two plane variables, coefficient table c[i, j] * x^i * y^j."""
 
@@ -33,31 +48,13 @@ class Poly2:
         return acc
 
     def deriv(self, nx: int = 0, ny: int = 0) -> "Poly2":
-        c = self.coeffs
-        for _ in range(nx):
-            if c.shape[0] <= 1:
-                c = np.zeros((1, 1))
-                break
-            c = c[1:, :] * np.arange(1, c.shape[0])[:, None]
-        for _ in range(ny):
-            if c.shape[1] <= 1:
-                c = np.zeros((1, 1))
-                break
-            c = c[:, 1:] * np.arange(1, c.shape[1])[None, :]
-        return Poly2(c)
+        return Poly2(_deriv_table(self.coeffs, (nx, ny)))
 
     def eval_deriv(self, x: float, y: float, nx: int = 0, ny: int = 0) -> float:
         return self.deriv(nx, ny)(x, y)
 
     def laplacian(self) -> "Poly2":
-        a = self.deriv(2, 0).coeffs
-        b = self.deriv(0, 2).coeffs
-        ni = max(a.shape[0], b.shape[0])
-        nj = max(a.shape[1], b.shape[1])
-        out = np.zeros((ni, nj))
-        out[: a.shape[0], : a.shape[1]] += a
-        out[: b.shape[0], : b.shape[1]] += b
-        return Poly2(out)
+        return self.deriv(2, 0) + self.deriv(0, 2)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         scale = max(1.0, float(np.max(np.abs(self.coeffs))))
@@ -95,18 +92,7 @@ class PolyTXY:
         return cls(np.full((1, 1, 1), float(value)))
 
     def deriv(self, d: tuple[int, int, int]) -> "PolyTXY":
-        c = self.coeffs
-        for axis, order in enumerate(d):
-            for _ in range(order):
-                if c.shape[axis] <= 1:
-                    c = np.zeros((1, 1, 1))
-                    break
-                idx = [slice(None)] * 3
-                idx[axis] = slice(1, None)
-                shape = [1, 1, 1]
-                shape[axis] = c.shape[axis] - 1
-                c = c[tuple(idx)] * np.arange(1, c.shape[axis]).reshape(shape)
-        return PolyTXY(c)
+        return PolyTXY(_deriv_table(self.coeffs, d))
 
     def __call__(self, t: float, x: float, y: float) -> float:
         c = self.coeffs

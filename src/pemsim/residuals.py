@@ -60,9 +60,6 @@ class ResidualVector:
     def max_abs(self) -> float:
         return max(abs(v) for v in self.values.values())
 
-    def as_array(self) -> np.ndarray:
-        return np.array(list(self.values.values()))
-
 
 def _cartesian_terms(field: FieldSource, point) -> dict[str, float]:
     """Collect every field derivative the Cartesian systems need."""

@@ -296,13 +296,17 @@ class DirichletRootReport:
     residual: float
 
 
-def rst_dirichlet(params: ModelParams, subintervals: int = 256) -> DirichletRootReport:
+_DIRICHLET_SCAN_INTERVALS = 256
+
+
+def rst_dirichlet(params: ModelParams) -> DirichletRootReport:
     """Steady outer radius for the Dirichlet-pressure annulus.
 
     Substitutes the Dirichlet stationary displacement into the traction
     balance and solves the resulting scalar equation on (r0, R0] by an
-    exhaustive sign-change scan followed by bisection (the root count is
-    unknown a priori).  Among several roots the one nearest R0 is selected.
+    exhaustive sign-change scan over _DIRICHLET_SCAN_INTERVALS equal
+    subintervals followed by bisection (the root count is unknown a
+    priori).  Among several roots the one nearest R0 is selected.
     """
     if params.F0 < 0.0:
         raise ValueError("the shrink-radius analysis requires F0 >= 0")
@@ -318,7 +322,7 @@ def rst_dirichlet(params: ModelParams, subintervals: int = 256) -> DirichletRoot
                    abs(params.lam / s * sol.displacement(s)),
                    params.F0 / (2.0 * math.pi * s))
 
-    grid = np.linspace(r0, R0, subintervals + 1)[1:]
+    grid = np.linspace(r0, R0, _DIRICHLET_SCAN_INTERVALS + 1)[1:]
     values = [mismatch(s) for s in grid]
     roots: list[float] = []
     for i in range(len(grid) - 1):

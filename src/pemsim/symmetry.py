@@ -80,10 +80,6 @@ class TimeFunction:
     def sine(cls) -> "TimeFunction":
         return cls(math.sin, math.cos, lambda t: -math.sin(t))
 
-    @classmethod
-    def constant(cls, value: float) -> "TimeFunction":
-        return cls(lambda t: value, lambda t: 0.0, lambda t: 0.0)
-
 
 @dataclass(frozen=True)
 class HarmonicPotentialPair:
@@ -306,27 +302,21 @@ def displacement_symmetry_residual(G1: PlaneFunction, G2: PlaneFunction,
     return res1, res2
 
 
-_DEFAULT_PLANE_POINTS = tuple(
+_PLANE_POINTS = tuple(
     (x, y) for x in (-1.5, -0.5, 0.4, 1.3) for y in (-1.2, -0.3, 0.7, 1.4))
 
 
 def verify_displacement_symmetry(G1: PlaneFunction, G2: PlaneFunction,
-                                 params: ModelParams,
-                                 points: Sequence[tuple[float, float]] | None = None
-                                 ) -> float:
+                                 params: ModelParams) -> float:
     """Max residual of the isotropic displacement-generator system over points."""
     moduli = AnisotropicModuli.isotropic(params.lam, params.mu)
-    return verify_displacement_symmetry_aniso(G1, G2, moduli, points)
+    return verify_displacement_symmetry_aniso(G1, G2, moduli)
 
 
 def verify_displacement_symmetry_aniso(G1: PlaneFunction, G2: PlaneFunction,
-                                       moduli: AnisotropicModuli,
-                                       points: Sequence[tuple[float, float]] | None = None
-                                       ) -> float:
-    if points is None:
-        points = _DEFAULT_PLANE_POINTS
+                                       moduli: AnisotropicModuli) -> float:
     worst = 0.0
-    for x, y in points:
+    for x, y in _PLANE_POINTS:
         r1, r2 = displacement_symmetry_residual(G1, G2, moduli, x, y)
         worst = max(worst, abs(r1), abs(r2))
     return worst

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .core import ModelParams, lame_star
+from .core import ModelParams, ParameterError, lame_star
 from .stationary import neumann_solution
 
 __all__ = [
@@ -144,14 +143,6 @@ def fd2(f: np.ndarray, h: float) -> np.ndarray:
     out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h**2
     out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h**2
     return out
-
-
-def _as_profile(value, default: float) -> Callable[[float], float]:
-    if value is None:
-        return lambda r: default
-    if callable(value):
-        return value
-    return lambda r, v=float(value): v
 
 
 class _Stepper:
@@ -425,21 +416,17 @@ class _Stepper:
         V = (w - self.w) / dt - Sdot * self.eta * fd1(w, h)
         v = V - Sdot * self.eta
 
-        sub = np.zeros(N + 1)
-        dia = np.full(N + 1, 1.0 / dt)
-        sup = np.zeros(N + 1)
-        idx = np.arange(1, N + 1)          # backward differences where v >= 0
-        m_up = idx[v[idx] >= 0.0]
-        dia[m_up] += v[m_up] / h
-        sub[m_up] += -v[m_up] / h
-        idx = np.arange(N)                 # forward differences where v < 0
-        m_dn = idx[v[idx] < 0.0]
-        dia[m_dn] += -v[m_dn] / h
-        sup[m_dn] += v[m_dn] / h
+        # Straight into the (1, 1) band storage, entry (i, j) at ab[1 + i - j, j]:
+        # node i adds |v_i|/h to its diagonal and -|v_i|/h at its upwind neighbour.
+        a = np.abs(v) / h
+        up = np.where(v[1:] >= 0.0, a[1:], 0.0)   # backward, nodes 1..N
+        dn = np.where(v[:-1] < 0.0, a[:-1], 0.0)  # forward, nodes 0..N-1
         ab = np.zeros((3, N + 1))
-        ab[0, 1:] = sup[:-1]
-        ab[1, :] = dia
-        ab[2, :-1] = sub[1:]
+        ab[1] = 1.0 / dt
+        ab[1, 1:] += up
+        ab[2, :-1] -= up
+        ab[1, :-1] += dn
+        ab[0, 1:] -= dn
 
         e_new = self.dilatation(S, w)
         decay = np.exp(-2.0 * (e_new - self.e))
@@ -463,27 +450,25 @@ def _make_state(stepper: _Stepper, rates: dict[str, float] | None) -> RadialStat
 
 
 def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
-             rho0: Callable[[float], float] | float | None = None,
-             theta0: Callable[[float], float] | float | None = None
+             rho0: float | None = None, theta0: float = 0.5
              ) -> list[RadialState]:
     """Integrate the moving-boundary problem from the undeformed rest state.
 
-    Initial data: P = p_a, w = 0, S = R0, with user-supplied density and
-    porosity profiles (constants or callables of r).  Returns snapshots
+    Initial data: P = p_a, w = 0, S = R0, uniform density ``rho0`` (None
+    means ``rho_f0``) and uniform porosity ``theta0``; other values than
+    rho0 > 0 and 0 < theta0 < 1 raise ParameterError.  Returns snapshots
     every ``output_every`` accepted steps plus the initial and final states.
     The step size halves on per-step nonconvergence; porosity or density
     leaving their physical bounds aborts with the offending state attached.
     """
     st = _Stepper(params, config, geometry)
-    rho0_f = _as_profile(rho0, params.rho_f0)
-    theta0_f = _as_profile(theta0, 0.5)
-    r_init = st.r_in + (params.R0 - st.r_in) * st.eta
-    st.rho = np.array([float(rho0_f(r)) for r in r_init])
-    st.theta = np.array([float(theta0_f(r)) for r in r_init])
-    if np.any(st.theta <= 0.0) or np.any(st.theta >= 1.0):
-        raise ValueError("initial porosity must lie strictly in (0, 1)")
-    if np.any(st.rho <= 0.0):
-        raise ValueError("initial density must be positive")
+    if not 0.0 < theta0 < 1.0:
+        raise ParameterError(["initial porosity must lie strictly in (0, 1)"])
+    rho0 = params.rho_f0 if rho0 is None else rho0
+    if not rho0 > 0.0:
+        raise ParameterError(["initial density must be positive"])
+    st.rho = np.full(config.N + 1, float(rho0))
+    st.theta = np.full(config.N + 1, float(theta0))
 
     out = [_make_state(st, None)]
     dt = config.dt

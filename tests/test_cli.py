@@ -58,6 +58,10 @@ F0 = 0.0       # unloaded
         ["sweep", "--sweep_values", "-1"],
         ["sweep", "--sweep_key", "mu", "--sweep_values", "1,-1"],
         ["stationary", "--r_st", "0.5"],
+        ["stationary", "--samples", "-1"],
+        ["stationary", "--samples", "0", "--svg", "on"],
+        ["transient", "--theta0", "1.5"],
+        ["transient", "--rho0", "-1"],
     ])
     def test_value_rejected_by_solver_exits_2(self, args, tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path)]) == 2
@@ -138,6 +142,13 @@ class TestStationaryCommand:
         svg = (tmp_path / "profiles.svg").read_text()
         assert svg.startswith("<svg")
         assert "polyline" in svg
+
+    def test_single_sample_with_svg(self, tmp_path):
+        rc = main(["stationary", "--samples", "1", "--svg", "on",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert column(tmp_path / "profiles.csv", "r").tolist() == [1.0]
+        assert (tmp_path / "profiles.svg").read_text().startswith("<svg")
 
 
 class TestRstCommand:

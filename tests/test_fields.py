@@ -8,6 +8,7 @@ from pemsim.fields import (DerivativeUnavailableError, GridFieldSource,
                            RadialCartesianSource, random_polynomial_field,
                            sample_grid)
 from pemsim.polynomials import Poly2, PolyTXY, harmonic_basis
+from pemsim.transient import fd1, fd2
 
 
 def poly_source(coeffs_by_name):
@@ -80,11 +81,32 @@ class TestGridFieldSource:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.35)
 
     def test_mixed_partials_commute_exactly(self):
-        src, (ts, xs, ys) = self.make()
-        a = src.eval("f", (ts[1], xs[3], ys[4]), (1, 1, 0))
-        # same cross stencil evaluated in either order is the same sum
-        b = src.eval("f", (ts[1], xs[3], ys[4]), (1, 1, 0))
-        assert a == b
+        # the point stencils of eval and the whole-array fd1/fd2 are the same
+        # differences, edges included, and mixed partials commute
+        src, axes = self.make(nx=9, ny=7)
+        f = src.data["f"]
+        hs = src.spacings
+        stencils = {1: fd1, 2: fd2}
+
+        def along(arr, axis, order):
+            return np.apply_along_axis(stencils[order], axis, arr, hs[axis])
+
+        cases = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0),
+                 (0, 0, 2), (1, 1, 0), (0, 1, 1)]
+        for d in cases:
+            active = [axis for axis in range(3) if d[axis]]
+            forward, backward = f, f
+            for axis in active:
+                forward = along(forward, axis, d[axis])
+            for axis in reversed(active):
+                backward = along(backward, axis, d[axis])
+            tol = 1e-12 * np.max(np.abs(f)) / np.prod(
+                [hs[axis] ** d[axis] for axis in active])
+            for idx in np.ndindex(f.shape):
+                point = tuple(ax[i] for ax, i in zip(axes, idx))
+                got = src.eval("f", point, d)
+                assert abs(got - forward[idx]) <= tol, (d, idx)
+                assert abs(got - backward[idx]) <= tol, (d, idx)
 
     def test_off_grid_query_rejected(self):
         src, (ts, xs, ys) = self.make()
