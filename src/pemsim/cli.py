@@ -382,6 +382,10 @@ def cmd_symmetry(config: RunConfig) -> int:
     params = config.params
     seed = int(config.options["seed"])
     rtol = float(config.options["tol"])
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    if not rtol >= 0:
+        raise ConfigError(f"tol must be non-negative, got {rtol}")
     names = [n.strip() for n in str(config.options["elements"]).split(",")
              if n.strip()]
     if not names:

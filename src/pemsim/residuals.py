@@ -61,119 +61,91 @@ class ResidualVector:
         return max(abs(v) for v in self.values.values())
 
 
-def _cartesian_terms(field: FieldSource, point) -> dict[str, float]:
-    """Collect every field derivative the Cartesian systems need."""
-    e = field.eval
-    q = {}
-    q["u1_t"] = e("u1", point, (1, 0, 0))
-    q["u2_t"] = e("u2", point, (1, 0, 0))
-    q["u1_tt"] = e("u1", point, (2, 0, 0))
-    q["u2_tt"] = e("u2", point, (2, 0, 0))
-    q["u1_tx"] = e("u1", point, (1, 1, 0))
-    q["u2_ty"] = e("u2", point, (1, 0, 1))
-    q["u1_xx"] = e("u1", point, (0, 2, 0))
-    q["u1_yy"] = e("u1", point, (0, 0, 2))
-    q["u1_xy"] = e("u1", point, (0, 1, 1))
-    q["u2_xx"] = e("u2", point, (0, 2, 0))
-    q["u2_yy"] = e("u2", point, (0, 0, 2))
-    q["u2_xy"] = e("u2", point, (0, 1, 1))
-    q["rho"] = e("rho", point)
-    q["rho_t"] = e("rho", point, (1, 0, 0))
-    q["rho_x"] = e("rho", point, (0, 1, 0))
-    q["rho_y"] = e("rho", point, (0, 0, 1))
-    q["th"] = e("thetaF", point)
-    q["th_t"] = e("thetaF", point, (1, 0, 0))
-    q["th_x"] = e("thetaF", point, (0, 1, 0))
-    q["th_y"] = e("thetaF", point, (0, 0, 1))
-    q["c"] = e("c", point)
-    q["c_t"] = e("c", point, (1, 0, 0))
-    q["c_x"] = e("c", point, (0, 1, 0))
-    q["c_y"] = e("c", point, (0, 0, 1))
-    q["c_lap"] = e("c", point, (0, 2, 0)) + e("c", point, (0, 0, 2))
-    q["p_x"] = e("p", point, (0, 1, 0))
-    q["p_y"] = e("p", point, (0, 0, 1))
-    q["p_lap"] = e("p", point, (0, 2, 0)) + e("p", point, (0, 0, 2))
-    return q
+def _elastic_force(E: AnisotropicModuli, u1_xx, u1_yy, u1_xy,
+                   u2_xx, u2_yy, u2_xy):
+    """Divergence of the elastic stress of (u1, u2) from its second derivatives.
 
-
-def _cartesian_scalar_residuals(q: dict[str, float], params: ModelParams,
-                                ps_x: float, ps_y: float,
-                                ps_lap: float) -> dict[str, float]:
-    """Density, porosity and solute residuals (identical in both systems)."""
-    k, D, S = params.k, params.D, params.S_sieve
-    density = (q["rho_t"] + q["u1_t"] * q["rho_x"] + q["u2_t"] * q["rho_y"]
-               - k * (params.rho_f0 - q["rho"]) * ps_lap)
-    porosity = (q["th_t"] + q["u1_t"] * q["th_x"] + q["u2_t"] * q["th_y"]
-                - k * (1.0 - q["th"]) * ps_lap)
-    cth_t = q["c_t"] * q["th"] + q["c"] * q["th_t"]
-    cth_x = q["c_x"] * q["th"] + q["c"] * q["th_x"]
-    cth_y = q["c_y"] * q["th"] + q["c"] * q["th_y"]
-    solute = (cth_t + q["u1_t"] * cth_x + q["u2_t"] * cth_y
-              - D * q["c_lap"]
-              - k * (S - q["th"]) * q["c"] * ps_lap
-              - k * S * (q["c_x"] * ps_x + q["c_y"] * ps_y))
-    return {"density": density, "porosity": porosity, "solute": solute}
+    The isotropic terms are summed first, so under the isotropic embedding
+    (e13 = e23 = 0) the pair rounds like the Lame form
+    lam_star*u1_xx + mu*u1_yy + (lam + mu)*u2_xy.  Accepts floats or arrays.
+    """
+    f1 = (E.e11 * u1_xx + E.e33 * u1_yy + (E.e12 + E.e33) * u2_xy
+          + E.e13 * u2_xx + E.e23 * u2_yy + 2.0 * E.e13 * u1_xy)
+    f2 = (E.e22 * u2_yy + E.e33 * u2_xx + (E.e12 + E.e33) * u1_xy
+          + E.e13 * u1_xx + E.e23 * u1_yy + 2.0 * E.e23 * u2_xy)
+    return f1, f2
 
 
 def residual_cartesian_iso(field: FieldSource, params: ModelParams,
                            point) -> ResidualVector:
     """Residuals of the isotropic six-equation Cartesian system at a point.
 
-    Effective pressure p - sigma1*c is substituted internally, so the field
-    only supplies the primitive components.
+    The anisotropic operator evaluated at the isotropic embedding of the
+    Lame coefficients.
     """
-    q = _cartesian_terms(field, point)
-    s1, k = params.sigma1, params.k
-    lam, ls = params.lam, lame_star(params)
-    mu = params.mu
-    ps_x = q["p_x"] - s1 * q["c_x"]
-    ps_y = q["p_y"] - s1 * q["c_y"]
-    ps_lap = q["p_lap"] - s1 * q["c_lap"]
-    div_ut = q["u1_tx"] + q["u2_ty"]
-
-    continuity = 2.0 * div_ut - k * ps_lap
-    inertia = q["rho_t"] + q["rho"] * div_ut
-    mom1 = (q["rho"] * q["u1_tt"] + q["u1_t"] * inertia
-            - (ls * q["u1_xx"] + mu * q["u1_yy"]
-               + (ls - mu) * q["u2_xy"] - ps_x))
-    mom2 = (q["rho"] * q["u2_tt"] + q["u2_t"] * inertia
-            - (ls * q["u2_yy"] + mu * q["u2_xx"]
-               + (ls - mu) * q["u1_xy"] - ps_y))
-    values = {"continuity": continuity, "momentum1": mom1, "momentum2": mom2}
-    values.update(_cartesian_scalar_residuals(q, params, ps_x, ps_y, ps_lap))
-    return ResidualVector(values)
+    return residual_cartesian_aniso(
+        field, AnisotropicModuli.isotropic(params.lam, params.mu), params, point)
 
 
 def residual_cartesian_aniso(field: FieldSource, moduli: AnisotropicModuli,
                              params: ModelParams, point) -> ResidualVector:
-    """Residuals of the anisotropic Cartesian system at a point.
+    """Residuals of the six-equation Cartesian system at a point.
 
-    The volume-balance residual is stored in the same scaling as the
-    isotropic operator (doubled relative to the halved-conductivity form),
-    so the isotropic embedding reproduces :func:`residual_cartesian_iso`
-    exactly, equation by equation.
+    The momentum pair carries the elastic force of the stiffness matrix
+    ``moduli``; the volume-balance residual is doubled relative to the
+    halved-conductivity form.  Effective pressure p - sigma1*c is
+    substituted internally, so the field only supplies the primitive
+    components.
     """
-    q = _cartesian_terms(field, point)
-    s1, k = params.sigma1, params.k
-    E = moduli
-    ps_x = q["p_x"] - s1 * q["c_x"]
-    ps_y = q["p_y"] - s1 * q["c_y"]
-    ps_lap = q["p_lap"] - s1 * q["c_lap"]
-    div_ut = q["u1_tx"] + q["u2_ty"]
+    e = field.eval
+    s1, k, D, S = params.sigma1, params.k, params.D, params.S_sieve
+    u1_t = e("u1", point, (1, 0, 0))
+    u2_t = e("u2", point, (1, 0, 0))
+    u1_tt = e("u1", point, (2, 0, 0))
+    u2_tt = e("u2", point, (2, 0, 0))
+    u1_tx = e("u1", point, (1, 1, 0))
+    u2_ty = e("u2", point, (1, 0, 1))
+    u1_xx = e("u1", point, (0, 2, 0))
+    u1_yy = e("u1", point, (0, 0, 2))
+    u1_xy = e("u1", point, (0, 1, 1))
+    u2_xx = e("u2", point, (0, 2, 0))
+    u2_yy = e("u2", point, (0, 0, 2))
+    u2_xy = e("u2", point, (0, 1, 1))
+    rho = e("rho", point)
+    rho_t = e("rho", point, (1, 0, 0))
+    rho_x = e("rho", point, (0, 1, 0))
+    rho_y = e("rho", point, (0, 0, 1))
+    th = e("thetaF", point)
+    th_t = e("thetaF", point, (1, 0, 0))
+    th_x = e("thetaF", point, (0, 1, 0))
+    th_y = e("thetaF", point, (0, 0, 1))
+    c = e("c", point)
+    c_t = e("c", point, (1, 0, 0))
+    c_x = e("c", point, (0, 1, 0))
+    c_y = e("c", point, (0, 0, 1))
+    c_lap = e("c", point, (0, 2, 0)) + e("c", point, (0, 0, 2))
+    ps_x = e("p", point, (0, 1, 0)) - s1 * c_x
+    ps_y = e("p", point, (0, 0, 1)) - s1 * c_y
+    ps_lap = e("p", point, (0, 2, 0)) + e("p", point, (0, 0, 2)) - s1 * c_lap
 
+    div_ut = u1_tx + u2_ty
     continuity = 2.0 * div_ut - k * ps_lap
-    inertia = q["rho_t"] + q["rho"] * div_ut
-    mom1 = (q["u1_t"] * inertia + q["rho"] * q["u1_tt"]
-            - (-ps_x + E.e11 * q["u1_xx"] + E.e33 * q["u1_yy"]
-               + E.e13 * q["u2_xx"] + E.e23 * q["u2_yy"]
-               + 2.0 * E.e13 * q["u1_xy"] + (E.e12 + E.e33) * q["u2_xy"]))
-    mom2 = (q["u2_t"] * inertia + q["rho"] * q["u2_tt"]
-            - (-ps_y + E.e22 * q["u2_yy"] + E.e33 * q["u2_xx"]
-               + E.e13 * q["u1_xx"] + E.e23 * q["u1_yy"]
-               + 2.0 * E.e23 * q["u2_xy"] + (E.e12 + E.e33) * q["u1_xy"]))
-    values = {"continuity": continuity, "momentum1": mom1, "momentum2": mom2}
-    values.update(_cartesian_scalar_residuals(q, params, ps_x, ps_y, ps_lap))
-    return ResidualVector(values)
+    inertia = rho_t + rho * div_ut
+    f1, f2 = _elastic_force(moduli, u1_xx, u1_yy, u1_xy, u2_xx, u2_yy, u2_xy)
+    mom1 = rho * u1_tt + u1_t * inertia - (f1 - ps_x)
+    mom2 = rho * u2_tt + u2_t * inertia - (f2 - ps_y)
+    density = (rho_t + u1_t * rho_x + u2_t * rho_y
+               - k * (params.rho_f0 - rho) * ps_lap)
+    porosity = th_t + u1_t * th_x + u2_t * th_y - k * (1.0 - th) * ps_lap
+    cth_t = c_t * th + c * th_t
+    cth_x = c_x * th + c * th_x
+    cth_y = c_y * th + c * th_y
+    solute = (cth_t + u1_t * cth_x + u2_t * cth_y - D * c_lap
+              - k * (S - th) * c * ps_lap - k * S * (c_x * ps_x + c_y * ps_y))
+    return ResidualVector({
+        "continuity": continuity, "momentum1": mom1, "momentum2": mom2,
+        "density": density, "porosity": porosity, "solute": solute,
+    })
 
 
 def residual_radial_full(field: FieldSource, params: ModelParams,

@@ -109,14 +109,18 @@ class StationarySolution:
                                      rho=rho, thetaF=thetaF)
 
 
+def _check_r_st(r_st: float, r0: float) -> None:
+    if not r0 < r_st < math.inf:
+        raise ValueError(
+            f"r_st must exceed r0 (got r_st={r_st}, r0={r0}); "
+            "at r_st = r0 the annulus degenerates into a circle")
+
+
 def dirichlet_solution(params: ModelParams, r_st: float) -> StationarySolution:
     """Stationary state with interior Dirichlet data P=p_a, w=0 at r0 and
     P=p_st, w=r_st-R0 at the steady outer radius."""
     r0, R0 = params.r0, params.R0
-    if r_st <= r0:
-        raise ValueError(
-            f"r_st must exceed r0 (got r_st={r_st}, r0={r0}); "
-            "at r_st = r0 the annulus degenerates into a circle")
+    _check_r_st(r_st, r0)
     ls = lame_star(params)
     # Both pressure conditions fix C0 without dividing by ln(r0), which
     # keeps r0 = 1 regular.
@@ -138,10 +142,7 @@ def neumann_solution(params: ModelParams, r_st: float) -> StationarySolution:
     w(r) = r_st*(r_st - R0)/(r_st^2 - r0^2) * (r - r0^2/r).
     """
     r0, R0 = params.r0, params.R0
-    if r_st <= r0:
-        raise ValueError(
-            f"r_st must exceed r0 (got r_st={r_st}, r0={r0}); "
-            "at r_st = r0 the annulus degenerates into a circle")
+    _check_r_st(r_st, r0)
     C1 = r_st * (r_st - R0) / (r_st**2 - r0**2)
     return StationarySolution(P0=params.p_st, C0=0.0, C1=C1, Cm1=-C1 * r0**2,
                               lam_star=lame_star(params), case="neumann")

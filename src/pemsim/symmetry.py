@@ -28,8 +28,10 @@ import scipy.linalg
 from .core import AnisotropicModuli, ModelParams
 from .fields import FieldSource, GridFieldSource
 from .polynomials import Poly2
-from .residuals import (CARTESIAN_EQUATIONS, residual_cartesian_aniso,
-                        residual_cartesian_iso)
+from .residuals import (CARTESIAN_EQUATIONS, _elastic_force,
+                        residual_cartesian_aniso)
+# Unused here, but benchmarks/tracing.py patches this name on this module.
+from .residuals import residual_cartesian_iso  # noqa: F401
 
 __all__ = [
     "TimeFunction",
@@ -287,19 +289,15 @@ def generate_displacement_symmetry(potentials: HarmonicPotentialPair
 def displacement_symmetry_residual(G1: PlaneFunction, G2: PlaneFunction,
                                    moduli: AnisotropicModuli,
                                    x: float, y: float) -> tuple[float, float]:
-    """Residual pair of the displacement-generator system at one point."""
-    E = moduli
-    g1xx = G1.eval_deriv(x, y, 2, 0)
-    g1yy = G1.eval_deriv(x, y, 0, 2)
-    g1xy = G1.eval_deriv(x, y, 1, 1)
-    g2xx = G2.eval_deriv(x, y, 2, 0)
-    g2yy = G2.eval_deriv(x, y, 0, 2)
-    g2xy = G2.eval_deriv(x, y, 1, 1)
-    res1 = (E.e11 * g1xx + E.e33 * g1yy + E.e13 * g2xx + E.e23 * g2yy
-            + 2.0 * E.e13 * g1xy + (E.e12 + E.e33) * g2xy)
-    res2 = (E.e22 * g2yy + E.e33 * g2xx + E.e13 * g1xx + E.e23 * g1yy
-            + 2.0 * E.e23 * g2xy + (E.e12 + E.e33) * g1xy)
-    return res1, res2
+    """Residual pair of the displacement-generator system at one point.
+
+    The system is the elastostatic part of the momentum equations: the
+    elastic force of (G1, G2) under ``moduli`` must vanish.
+    """
+    return _elastic_force(moduli, G1.eval_deriv(x, y, 2, 0),
+                          G1.eval_deriv(x, y, 0, 2), G1.eval_deriv(x, y, 1, 1),
+                          G2.eval_deriv(x, y, 2, 0), G2.eval_deriv(x, y, 0, 2),
+                          G2.eval_deriv(x, y, 1, 1))
 
 
 _PLANE_POINTS = tuple(
@@ -328,17 +326,16 @@ def random_displacement_symmetry_aniso(moduli: AnisotropicModuli,
     """Random quadratic-plus-affine generator pair for arbitrary moduli.
 
     Quadratic pairs G1 = a1 x^2 + b1 xy + c1 y^2, G2 = a2 x^2 + b2 xy + c2 y^2
-    satisfy the generator system iff two linear relations among the six
-    coefficients hold; a random null-space combination provides them.
+    satisfy the generator system iff their elastic force vanishes: two
+    linear relations among the six coefficients, whose 2x6 matrix is the
+    elastic force of each unit coefficient.  A random null-space
+    combination provides them; the affine part is free.
     """
-    E = moduli
-    # Rows: residual1, residual2 against (a1, b1, c1, a2, b2, c2).
-    M = np.array([
-        [2.0 * E.e11, 2.0 * E.e13, 2.0 * E.e33,
-         2.0 * E.e13, E.e12 + E.e33, 2.0 * E.e23],
-        [2.0 * E.e13, E.e12 + E.e33, 2.0 * E.e23,
-         2.0 * E.e33, 2.0 * E.e23, 2.0 * E.e22],
-    ])
+    # The second derivatives (u1_xx, u1_yy, u1_xy, u2_xx, u2_yy, u2_xy) of
+    # the pair are (2a1, 2c1, b1, 2a2, 2c2, b2).
+    a1, b1, c1, a2, b2, c2 = np.eye(6)
+    M = np.array(_elastic_force(moduli, 2.0 * a1, 2.0 * c1, b1,
+                                2.0 * a2, 2.0 * c2, b2))
     null = scipy.linalg.null_space(M)
     coeff = null @ rng.uniform(-1.0, 1.0, size=null.shape[1])
     a1, b1, c1, a2, b2, c2 = coeff
@@ -394,20 +391,16 @@ def check_invariance(element: GroupElement, field: FieldSource,
     relative to the largest residual magnitude seen (absolute for exact
     solutions).
 
-    When anisotropic moduli are supplied the check runs against the
-    anisotropic residual operator; the rotation is excluded there since it
-    is a symmetry of the isotropic material only.
+    ``moduli`` defaults to the isotropic embedding of ``params``.  When the
+    caller supplies moduli, the rotation is excluded, since it is a
+    symmetry of the isotropic material only.
     """
     if points is None:
         points = DEFAULT_SAMPLE_POINTS
-    if moduli is not None and element.kind == "rotation":
+    if moduli is None:
+        moduli = AnisotropicModuli.isotropic(params.lam, params.mu)
+    elif element.kind == "rotation":
         raise ValueError("rotation invariance holds only for isotropic moduli")
-
-    def residual(src: FieldSource, point):
-        if moduli is not None:
-            return residual_cartesian_aniso(src, moduli, params, point)
-        return residual_cartesian_iso(src, params, point)
-
     transformed = apply_group(element, field)
     scale_factor = math.exp(element.parameter)
     A = element.rotation_matrix() if element.kind == "rotation" else None
@@ -416,8 +409,9 @@ def check_invariance(element: GroupElement, field: FieldSource,
     post_norm = {eq: 0.0 for eq in CARTESIAN_EQUATIONS}
     diff = {eq: 0.0 for eq in CARTESIAN_EQUATIONS}
     for point in points:
-        pre = residual(field, point)
-        post = residual(transformed, element.map_point(point))
+        pre = residual_cartesian_aniso(field, moduli, params, point)
+        post = residual_cartesian_aniso(transformed, moduli, params,
+                                        element.map_point(point))
         expected = dict(pre.values)
         if element.kind == "concentration-scaling":
             expected["solute"] = scale_factor * expected["solute"]

@@ -94,8 +94,10 @@ class SimConfig:
             raise ValueError("t_end must be positive")
         if not self.steady_tol > 0:
             raise ValueError("steady_tol must be positive")
-        if self.load_ramp < 0:
+        if not self.load_ramp >= 0:
             raise ValueError("load_ramp must be >= 0")
+        if math.isnan(self.load_end):
+            raise ValueError("load_end must be a number")
         if self.traction_form not in ("annulus", "ring"):
             raise ValueError("traction_form must be 'annulus' or 'ring'")
         if self.output_every < 1:

@@ -62,6 +62,15 @@ F0 = 0.0       # unloaded
         ["stationary", "--samples", "0", "--svg", "on"],
         ["transient", "--theta0", "1.5"],
         ["transient", "--rho0", "-1"],
+        ["stationary", "--r_st", "nan"],
+        ["stationary", "--r_st", "inf"],
+        ["stationary", "--case", "dirichlet", "--p_st", "0.8", "--r_st", "nan"],
+        ["symmetry", "--seed", "-1"],
+        ["symmetry", "--field", "polynomial", "--seed", "-1"],
+        ["symmetry", "--tol", "-1"],
+        ["symmetry", "--tol", "nan"],
+        ["transient", "--load_ramp", "nan"],
+        ["transient", "--load_end", "nan"],
     ])
     def test_value_rejected_by_solver_exits_2(self, args, tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path)]) == 2

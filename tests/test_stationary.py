@@ -35,8 +35,9 @@ class TestDirichletSolution:
             assert abs(sol.displacement(r)) <= 1e-14
 
     def test_degenerate_radius_rejected(self):
-        with pytest.raises(ValueError, match="degenerates"):
-            dirichlet_solution(REFERENCE, REFERENCE.r0)
+        for r_st in (REFERENCE.r0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="degenerates"):
+                dirichlet_solution(REFERENCE, r_st)
 
     def test_residual_oracle(self):
         p = ModelParams.reference(p_a=0.2, p_st=1.4)
@@ -68,8 +69,9 @@ class TestNeumannSolution:
                                                                    abs=1e-15)
 
     def test_degenerate_radius_rejected(self):
-        with pytest.raises(ValueError, match="degenerates"):
-            neumann_solution(REFERENCE, REFERENCE.r0)
+        for r_st in (REFERENCE.r0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="degenerates"):
+                neumann_solution(REFERENCE, r_st)
 
     def test_residual_oracle(self):
         sol = neumann_solution(REFERENCE, 1.5)

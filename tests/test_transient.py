@@ -26,6 +26,8 @@ class TestSimConfig:
         (dict(load_ramp=-0.5), "load_ramp"),
         (dict(traction_form="bogus"), "traction_form"),
         (dict(output_every=0), "output_every"),
+        (dict(load_ramp=math.nan), "load_ramp"),
+        (dict(load_end=math.nan), "load_end"),
     ])
     def test_validation(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
