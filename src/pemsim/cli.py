@@ -384,8 +384,8 @@ def cmd_symmetry(config: RunConfig) -> int:
     rtol = float(config.options["tol"])
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    if not rtol >= 0:
-        raise ConfigError(f"tol must be non-negative, got {rtol}")
+    if not 0 <= rtol < math.inf:
+        raise ConfigError(f"tol must be finite and non-negative, got {rtol}")
     names = [n.strip() for n in str(config.options["elements"]).split(",")
              if n.strip()]
     if not names:

@@ -9,6 +9,7 @@ assumed throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Mapping
 
@@ -86,6 +87,9 @@ class ModelParams:
             violations.append(f"r0 must be > 0 (got {self.r0})")
         if not self.r0 < self.R0:
             violations.append(f"r0 < R0 required (got r0={self.r0}, R0={self.R0})")
+        for name in ("sigma1", "p_a", "p_st", "F0"):
+            if not math.isfinite(getattr(self, name)):
+                violations.append(f"{name} must be finite (got {getattr(self, name)})")
         if violations:
             raise ParameterError(violations)
 

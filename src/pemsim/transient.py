@@ -19,6 +19,9 @@ keeps the steady radius converging at O(h^2)); density and porosity are
 advected by implicit first-order upwinding, which preserves their physical
 bounds.  Inertial terms are off by default (quasi-static); the full-inertia
 mode keeps them with the quadratic velocity products treated explicitly.
+The boundary rows of the (w, P) band are written at the magnitude of the
+interior stencil rows, so the pivoted band LU solves them to round-off of
+the solution and the step rates fall to zero once the run is steady.
 """
 
 from __future__ import annotations
@@ -197,6 +200,12 @@ class _Stepper:
         entry (row, col) lives at ``ab[uband + row - col, col]``.  Entries
         that several stencil terms share are summed in the order written
         below; reordering them changes the solution in its last bits.
+
+        The boundary rows are scaled to the interior magnitude ls/h^2: unit
+        Dirichlet rows would be pivoted below rows some 1e6 times larger,
+        and the LU would leave up to about 1e-9 on them, which the pinned
+        values turn into a step-to-step jump that reads as a rate above
+        steady_tol.
         """
         p = self.params
         N = self.N
@@ -268,18 +277,19 @@ class _Stepper:
         entries(2 * N - 1, 2 * N - 4,
                 (cN * 0.5 / h, cN * (-2.0) / h, cN * 1.5 / h))
 
-        # Boundary rows.
-        entries(0, 0, (1.0,))                      # w(inner) = 0
+        # Boundary rows: Dirichlet rows weighted by d, derivative rows by 1/h.
+        d = ls / h**2
+        entries(0, 0, (d,))                        # w(inner) = 0
         if self.geometry == "annulus":
-            entries(1, 1, (1.0,))                  # P(inner) = p_a
-            rhs[1] = p.p_a
+            entries(1, 1, (d,))                    # P(inner) = p_a
+            rhs[1] = d * p.p_a
         else:
-            entries(1, 1, (-1.5 / h, 2.0 / h, -0.5 / h))   # P_r(0) = 0
-        entries(2 * N, 2 * N - 4,
-                (ls * 0.5 / h, -ls * 2.0 / h, ls * 1.5 / h + lam / S))
-        rhs[2 * N] = self.traction_rhs(t_new, S)
-        entries(2 * N + 1, 2 * N + 1, (1.0,))      # P(outer) = p_a
-        rhs[2 * N + 1] = p.p_a
+            entries(1, 1, (-1.5 / h**2, 2.0 / h**2, -0.5 / h**2))  # P_r(0) = 0
+        entries(2 * N, 2 * N - 4, (ls * 0.5 / h**2, -ls * 2.0 / h**2,
+                                   (ls * 1.5 / h + lam / S) / h))
+        rhs[2 * N] = self.traction_rhs(t_new, S) / h
+        entries(2 * N + 1, 2 * N + 1, (d,))        # P(outer) = p_a
+        rhs[2 * N + 1] = d * p.p_a
 
         z = solve_banded((lband, uband), ab, rhs)
         w_sol, P_sol = z[0::2], z[1::2]

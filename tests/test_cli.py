@@ -71,6 +71,13 @@ F0 = 0.0       # unloaded
         ["symmetry", "--tol", "nan"],
         ["transient", "--load_ramp", "nan"],
         ["transient", "--load_end", "nan"],
+        ["stationary", "--p_st", "nan"],
+        ["stationary", "--sigma1", "inf"],
+        ["stationary", "--case", "dirichlet", "--p_a", "nan"],
+        ["rst", "--F0", "nan"],
+        ["transient", "--F0", "inf"],
+        ["symmetry", "--field", "polynomial", "--tol", "inf",
+         "--elements", "broken-displacement"],
     ])
     def test_value_rejected_by_solver_exits_2(self, args, tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path)]) == 2
@@ -235,6 +242,11 @@ class TestTransientCommand:
         assert final_S == pytest.approx(1.32696, abs=5e-4)
         assert (tmp_path / "final_profile.csv").exists()
         assert (tmp_path / "trajectory.svg").exists()
+
+    def test_defaults_stop_steady(self, tmp_path, capsys):
+        assert main(["transient", "--out", str(tmp_path)]) == 0
+        assert "steady=yes" in capsys.readouterr().out
+        assert column(tmp_path / "trajectory.csv", "t")[-1] < 0.5
 
     def test_bounds_violation_exits_3_with_diagnostic(self, tmp_path):
         rc = main(["transient", "--N", "48", "--dt", "2e-3", "--t_end", "2.0",

@@ -31,6 +31,10 @@ class TestValidation:
         ("lam", 0.0, "lam must be > 0"),
         ("mu", -1.0, "mu must be > 0"),
         ("r0", 0.0, "r0 must be > 0"),
+        ("p_a", float("nan"), "p_a must be finite"),
+        ("p_st", float("inf"), "p_st must be finite"),
+        ("sigma1", float("-inf"), "sigma1 must be finite"),
+        ("F0", float("nan"), "F0 must be finite"),
     ])
     def test_single_violations(self, field, value, fragment):
         with pytest.raises(ParameterError, match=fragment.replace("(", "\\(")):

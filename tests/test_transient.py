@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.linalg import solve_banded
 
+from pemsim import transient
 from pemsim.core import ModelParams
 from pemsim.residuals import residual_ring
 from pemsim.stationary import neumann_solution, rst_cubic
@@ -112,6 +114,70 @@ class TestBandAssembly:
         target = -p.F0 / (2.0 * math.pi * S)
         assert abs(traction - target) <= 1e-11 * (
             ls * 4.0 / h * wmax + p.lam * wmax / S + abs(target))
+
+
+class TestBoundaryRows:
+    """The band LU solves the Dirichlet rows to round-off of the solution,
+    so the pinned boundary values do not jump from step to step."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=hst.integers(0, 2**32 - 1), N=hst.integers(16, 120),
+           geometry=hst.sampled_from(["annulus", "circle"]),
+           quasi=hst.booleans())
+    def test_raw_solution_meets_dirichlet_rows(self, seed, N, geometry, quasi):
+        raw = []
+
+        def spy(*args, **kwargs):
+            z = solve_banded(*args, **kwargs)
+            raw.append(z.copy())
+            return z
+
+        rng = np.random.default_rng(seed)
+        p = ModelParams.reference(F0=rng.uniform(0.0, 16 * math.pi),
+                                  p_a=rng.uniform(-0.5, 0.5))
+        st = _Stepper(p, SimConfig(N=N, quasi_static=quasi), geometry)
+        st.S = p.R0 * rng.uniform(0.7, 1.0)
+        st.w = 0.1 * rng.normal(size=N + 1)
+        st.P = p.p_a + 0.1 * rng.normal(size=N + 1)
+        st.rho = rng.uniform(0.5, 2.0, N + 1)
+        st.V = rng.normal(size=N + 1)
+        st.rho_t = rng.normal(size=N + 1)
+        dt = rng.uniform(1e-4, 1e-2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transient, "solve_banded", spy)
+            st.solve_wp(st.S * (1.0 + 0.01 * rng.normal()), dt, 0.5)
+
+        w, P = raw[-1][0::2], raw[-1][1::2]
+        residue = [abs(w[0]), abs(P[-1] - p.p_a)]
+        if geometry == "annulus":
+            residue.append(abs(P[0] - p.p_a))
+        assert max(residue) <= 1e-13 * max(1.0, abs(p.p_a))
+
+
+class TestSteadyStop:
+    """Past the physical transient every step rate sits below steady_tol,
+    so the reference run stops steady at every resolution."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(N=hst.integers(100, 800),
+           F0=hst.floats(12 * math.pi, 16 * math.pi),
+           theta0=hst.floats(0.999, 0.9999))
+    def test_late_rates_below_steady_tol(self, N, F0, theta0):
+        p = ModelParams.reference(F0=F0)
+        cfg = SimConfig(N=N, dt=2e-3, t_end=1.0, output_every=1,
+                        stop_when_steady=False)
+        states = simulate(p, cfg, theta0=theta0)
+        late = [max(s.rate_norms.values()) for s in states if s.t > 0.6]
+        assert max(late) <= 1e-8
+        assert np.median(late) <= 1e-10
+
+    @pytest.mark.parametrize("N", [400, 800])
+    @pytest.mark.parametrize("steady_tol", [1e-8, 1e-9])
+    def test_reference_run_stops_steady(self, N, steady_tol):
+        cfg = SimConfig(N=N, dt=2e-3, t_end=3.0, steady_tol=steady_tol)
+        final = simulate(HEAVY, cfg, theta0=0.9999)[-1]
+        assert final.t < 0.5
+        assert max(final.rate_norms.values()) <= steady_tol
 
 
 class TestFailuresStayLoud:
