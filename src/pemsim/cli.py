@@ -334,7 +334,7 @@ def cmd_transient(config: RunConfig) -> int:
         arr = np.array([(s.t, s.S) for s in states])
         write_svg_chart(config.out_dir / "trajectory.svg", arr[:, 0],
                         {"S": arr[:, 1]}, "outer radius history", "t")
-    report = steady_state_check(final, params, steady_tol=10 * config.sim.steady_tol)
+    report = steady_state_check(final, params, config.sim.steady_tol)
     print(f"steady={'yes' if report.is_steady else 'no'} "
           f"rate_norm={_fmt(report.rate_norm)} S={_fmt(final.S)} "
           f"distance_w={_fmt(report.distance_w)} "

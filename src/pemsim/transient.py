@@ -91,14 +91,14 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.N < 16:
             raise ValueError("N must be at least 16")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
-        if not self.steady_tol > 0:
-            raise ValueError("steady_tol must be positive")
-        if not self.load_ramp >= 0:
-            raise ValueError("load_ramp must be >= 0")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
+        if not 0 < self.steady_tol < math.inf:
+            raise ValueError("steady_tol must be positive and finite")
+        if not 0 <= self.load_ramp < math.inf:
+            raise ValueError("load_ramp must be finite and >= 0")
         if math.isnan(self.load_end):
             raise ValueError("load_end must be a number")
         if self.traction_form not in ("annulus", "ring"):
@@ -470,8 +470,13 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
     means ``rho_f0``) and uniform porosity ``theta0``; other values than
     rho0 > 0 and 0 < theta0 < 1 raise ParameterError.  Returns snapshots
     every ``output_every`` accepted steps plus the initial and final states.
-    The step size halves on per-step nonconvergence; porosity or density
-    leaving their physical bounds aborts with the offending state attached.
+    Every step starts at ``config.dt`` and is retried at half its size, up to
+    ``MAX_DT_HALVINGS`` times, when its solve fails; no step size carries
+    over to the next step.  Only a last step that would overshoot t_end by
+    more than rounding is cut short, so a run whose t_end is a whole number
+    of steps away takes full steps throughout and ends at t = t_end exactly.
+    Porosity or density leaving their physical bounds aborts with the
+    offending state attached.
     """
     st = _Stepper(params, config, geometry)
     if not 0.0 < theta0 < 1.0:
@@ -483,63 +488,48 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
     st.theta = np.full(config.N + 1, float(theta0))
 
     out = [_make_state(st, None)]
-    dt = config.dt
+    # t sums its steps, so it meets t_end only to rounding: a step that ends
+    # within this slack of t_end is the last one and ends at t_end exactly.
+    slack = 1e-12 * config.t_end
     step_index = 0
-    success_streak = 0
-    while st.t < config.t_end - 1e-12 * config.t_end:
-        dt_try = min(dt, config.t_end - st.t)
+    while st.t < config.t_end:
+        remaining = config.t_end - st.t
+        dt = config.dt if remaining > config.dt - slack else remaining
         halvings = 0
         while True:
             try:
-                S_new, w_new, P_new, _ = st.solve_step(dt_try)
+                S_new, w_new, P_new, _ = st.solve_step(dt)
                 rho_new, theta_new, V_new, e_new = st.advance_transport(
-                    S_new, dt_try, w_new, P_new)
+                    S_new, dt, w_new, P_new)
                 break
             except SimulationError:
                 halvings += 1
                 if halvings > MAX_DT_HALVINGS:
                     raise
-                dt_try *= 0.5
-        if halvings > 0:
-            dt = dt_try   # keep the reduced step for now ...
-            success_streak = 0
-        else:
-            success_streak += 1
-            if success_streak >= 5 and dt < config.dt:
-                dt = min(2.0 * dt, config.dt)   # ... and recover gradually
-                success_streak = 0
+                dt *= 0.5
 
-        Sdot = (S_new - st.S) / dt_try
+        Sdot = (S_new - st.S) / dt
         rates = {
             "w": float(np.max(np.abs(V_new))),
-            "P": float(np.max(np.abs(P_new - st.P)) / dt_try),
-            "rho": float(np.max(np.abs(rho_new - st.rho)) / dt_try),
-            "theta": float(np.max(np.abs(theta_new - st.theta)) / dt_try),
+            "P": float(np.max(np.abs(P_new - st.P)) / dt),
+            "rho": float(np.max(np.abs(rho_new - st.rho)) / dt),
+            "theta": float(np.max(np.abs(theta_new - st.theta)) / dt),
             "S": abs(Sdot),
         }
-        st.rho_t = (rho_new - st.rho) / dt_try
-        st.t += dt_try
-        st.S = S_new
-        st.Sdot = Sdot
-        st.w = w_new
-        st.P = P_new
-        st.V = V_new
-        st.e = e_new
-
+        st.rho_t = (rho_new - st.rho) / dt
+        st.t = st.t + dt if remaining - dt > slack else config.t_end
+        st.S, st.Sdot, st.w, st.P = S_new, Sdot, w_new, P_new
+        st.V, st.e, st.rho, st.theta = V_new, e_new, rho_new, theta_new
         if np.any(theta_new <= 0.0) or np.any(theta_new >= 1.0) or np.any(
                 rho_new <= 0.0):
-            st.rho = rho_new
-            st.theta = theta_new
             raise PhysicalBoundsError(
                 f"porosity/density left physical bounds at t={st.t}",
                 _make_state(st, rates))
-        st.rho = rho_new
-        st.theta = theta_new
 
         step_index += 1
         is_steady = max(rates.values()) <= config.steady_tol
-        if step_index % config.output_every == 0 or is_steady or (
-                st.t >= config.t_end - 1e-12 * config.t_end):
+        if (step_index % config.output_every == 0 or is_steady
+                or st.t == config.t_end):
             out.append(_make_state(st, rates))
         if is_steady and config.stop_when_steady:
             break

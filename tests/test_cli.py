@@ -78,6 +78,10 @@ F0 = 0.0       # unloaded
         ["transient", "--F0", "inf"],
         ["symmetry", "--field", "polynomial", "--tol", "inf",
          "--elements", "broken-displacement"],
+        ["transient", "--t_end", "inf"],
+        ["transient", "--steady_tol", "inf"],
+        ["transient", "--dt", "inf"],
+        ["transient", "--load_ramp", "inf"],
     ])
     def test_value_rejected_by_solver_exits_2(self, args, tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path)]) == 2
@@ -248,6 +252,14 @@ class TestTransientCommand:
         assert "steady=yes" in capsys.readouterr().out
         assert column(tmp_path / "trajectory.csv", "t")[-1] < 0.5
 
+    def test_verdict_uses_steady_tol(self, tmp_path, capsys):
+        # the run ends at t_end with a rate inside (steady_tol, 10*steady_tol]
+        assert main(["transient", "--N", "32", "--t_end", "0.2",
+                     "--steady_tol", "1e-5", "--out", str(tmp_path)]) == 0
+        rate = column(tmp_path / "trajectory.csv", "rate_norm")[-1]
+        assert 1e-5 < rate <= 1e-4
+        assert "steady=no" in capsys.readouterr().out
+
     def test_bounds_violation_exits_3_with_diagnostic(self, tmp_path):
         rc = main(["transient", "--N", "48", "--dt", "2e-3", "--t_end", "2.0",
                    "--theta0", "0.5", "--F0", str(16 * math.pi),
@@ -260,15 +272,26 @@ class TestTransientCommand:
 
 class TestSymmetryCommand:
     def test_standard_elements_pass(self, tmp_path, capsys):
-        rc = main(["symmetry", "--F0", str(16 * math.pi),
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        header, rows = read_csv(tmp_path / "symmetry.csv")
-        assert header == ["element", "parameter", "equation", "pre_norm",
-                          "post_norm", "max_diff", "tol", "passed"]
-        assert all(r[-1] == "1" for r in rows)
-        # 4 default elements x 6 equations
-        assert len(rows) == 24
+        translations = ["time-translation", "x-translation", "y-translation"]
+        # the 4 default elements, then the translations on both fields
+        for args, names in (
+                ([], ["pressure-shift", "displacement-shift",
+                      "concentration-scaling", "rotation"]),
+                (["--elements", ",".join(translations)], translations),
+                (["--field", "polynomial",
+                  "--elements", ",".join(translations)], translations)):
+            rc = main(["symmetry", "--F0", str(16 * math.pi),
+                       "--out", str(tmp_path)] + args)
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert all(f"{name}: pass" in out for name in names), out
+            header, rows = read_csv(tmp_path / "symmetry.csv")
+            assert header == ["element", "parameter", "equation", "pre_norm",
+                              "post_norm", "max_diff", "tol", "passed"]
+            assert all(r[-1] == "1" for r in rows)
+            # 6 equations per element
+            assert len(rows) == 6 * len(names)
+            assert [r[0] for r in rows[::6]] == names
 
     def test_negative_control_fails(self, tmp_path):
         rc = main(["symmetry", "--F0", str(16 * math.pi),

@@ -30,6 +30,10 @@ class TestSimConfig:
         (dict(output_every=0), "output_every"),
         (dict(load_ramp=math.nan), "load_ramp"),
         (dict(load_end=math.nan), "load_end"),
+        (dict(dt=math.inf), "dt must be"),
+        (dict(t_end=math.inf), "t_end"),
+        (dict(steady_tol=math.inf), "steady_tol"),
+        (dict(load_ramp=math.inf), "load_ramp"),
     ])
     def test_validation(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -178,6 +182,49 @@ class TestSteadyStop:
         final = simulate(HEAVY, cfg, theta0=0.9999)[-1]
         assert final.t < 0.5
         assert max(final.rate_norms.values()) <= steady_tol
+
+
+class TestExactLastStep:
+    """A run to a t_end that is a whole number of steps away takes only full
+    steps, so a steady state carries through its last step bit for bit."""
+
+    @pytest.mark.parametrize("N", [600, 760])
+    def test_last_step_keeps_steady_state(self, N):
+        cfg = SimConfig(N=N, dt=2e-3, t_end=1.0, output_every=1,
+                        stop_when_steady=False)
+        prev, final = simulate(HEAVY, cfg, theta0=0.9999)[-2:]
+        assert final.t == 1.0
+        assert all(v == 0.0 for v in final.rate_norms.values()), \
+            final.rate_norms
+        assert final.S == prev.S
+        for name in ("w", "P", "varrho", "Theta"):
+            assert np.array_equal(getattr(final, name),
+                                  getattr(prev, name)), name
+
+
+class TestStepRetry:
+    def test_failed_step_retried_at_half_size_then_full_size(
+            self, monkeypatch):
+        cfg = SimConfig(N=32, dt=1e-2, t_end=3.0, output_every=1)
+        unforced = simulate(GENTLE, cfg, theta0=0.7)[-1]
+        solve_step = _Stepper.solve_step
+        attempts = []
+
+        def fail_fourth_attempt(self, dt):
+            attempts.append(dt)
+            if len(attempts) == 4:   # the first attempt of the fourth step
+                raise SimulationError("injected failure")
+            return solve_step(self, dt)
+
+        monkeypatch.setattr(_Stepper, "solve_step", fail_fourth_attempt)
+        states = simulate(GENTLE, cfg, theta0=0.7)
+        steps = np.diff([s.t for s in states])
+        assert steps[:3] == pytest.approx([cfg.dt] * 3, rel=1e-12)
+        assert steps[3] == pytest.approx(cfg.dt / 2, rel=1e-12)
+        assert steps[4:] == pytest.approx([cfg.dt] * (len(steps) - 4),
+                                          rel=1e-9)
+        assert max(states[-1].rate_norms.values()) <= cfg.steady_tol
+        assert abs(states[-1].S - unforced.S) <= 1e-6
 
 
 class TestFailuresStayLoud:
