@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .core import AnisotropicModuli, ModelParams
 from .fields import FieldSource, GridFieldSource
@@ -331,6 +330,8 @@ def random_displacement_symmetry_aniso(moduli: AnisotropicModuli,
     elastic force of each unit coefficient.  A random null-space
     combination provides them; the affine part is free.
     """
+    import scipy.linalg
+
     # The second derivatives (u1_xx, u1_yy, u1_xy, u2_xx, u2_yy, u2_xy) of
     # the pair are (2a1, 2c1, b1, 2a2, 2c2, b2).
     a1, b1, c1, a2, b2, c2 = np.eye(6)

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .core import ModelParams, ParameterError, lame_star
 from .stationary import neumann_solution
@@ -148,6 +146,43 @@ def fd2(f: np.ndarray, h: float) -> np.ndarray:
     out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h**2
     out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h**2
     return out
+
+
+def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+    """Solve a @ x = b for the band matrix a stored as ``ab[u + i - j, j]``.
+
+    The storage and the checks are those of scipy.linalg.solve_banded, and so
+    is the LAPACK call, which keeps its results bit for bit: a (1, 1) band
+    goes to dgtsv, any other to dgbsv on a copy of ab below l zero rows.  The
+    inputs are not modified.  scipy is loaded by the first call.
+    """
+    from scipy.linalg import lapack
+
+    l, u = l_and_u
+    if ab.shape != (l + u + 1, len(b)):
+        raise ValueError(f"band of shape {ab.shape} does not match "
+                         f"(l, u) = {l_and_u} and len(b) = {len(b)}")
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if l == u == 1:
+        _, _, _, x, info = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    else:
+        lu = np.zeros((2 * l + u + 1, ab.shape[1]), order="F")
+        lu[l:] = ab
+        _, _, x, info = lapack.dgbsv(l, u, lu, b, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK "
+                         "gbsv/gtsv")
+    return x
+
+
+def brentq(f, a: float, b: float, **options) -> float:
+    # Loads scipy on a stalled step only; the benchmark tracer wraps it.
+    from scipy.optimize import brentq as scipy_brentq
+    return scipy_brentq(f, a, b, **options)
 
 
 class _Stepper:

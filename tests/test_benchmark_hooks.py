@@ -7,11 +7,12 @@ here too.  Nothing under ``benchmarks/`` is modified.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 
-from pemsim import symmetry
+from pemsim import symmetry, transient
 from pemsim.core import ModelParams
 from pemsim.fields import random_polynomial_field
 
@@ -53,3 +54,17 @@ def test_invariance_check_reaches_traced_residual_operator():
     assert counts["check_invariance"] == 1
     assert counts["residual_cartesian.poly"] == 2
     assert counts["residual_cartesian.transformed"] == 2
+
+
+def test_simulate_band_solves_reach_tracer():
+    cfg = transient.SimConfig(N=32, dt=2e-3, t_end=0.02, output_every=1)
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        states = transient.simulate(ModelParams.reference(F0=16 * math.pi),
+                                    cfg, geometry="annulus", theta0=0.9999)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts()
+    assert counts["solve_banded.wp"] > 0
+    assert counts["solve_banded.transport"] == 2 * (len(states) - 1)

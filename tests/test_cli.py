@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,3 +344,43 @@ class TestDeterminism:
         assert names == sorted(f.name for f in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestColdPathWithoutScipy:
+    """The closed-form and symmetry commands import no scipy; a transient
+    run loads it on its first band solve."""
+
+    SCRIPT = """
+import sys
+import pemsim, pemsim.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[1]
+for args in (["rst"],
+             ["stationary", "--case", "neumann"],
+             ["stationary", "--case", "dirichlet", "--p_st", "0.8"],
+             ["sweep", "--sweep_values", "0,20,40"],
+             ["symmetry", "--field", "stationary"],
+             ["symmetry", "--field", "polynomial"]):
+    assert pemsim.cli.main(args + ["--out", out]) == 0, args
+print("cold:", scipy_modules())
+assert pemsim.cli.main(["transient", "--N", "32", "--t_end", "0.02",
+                        "--out", out]) == 0
+print("transient:", "scipy.linalg.lapack" in scipy_modules())
+"""
+
+    def test_cli_commands_load_no_scipy(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "cold: []" in lines
+        assert "transient: True" in lines
