@@ -5,6 +5,18 @@ is a coordinate tuple and ``d`` a derivative multi-index of the same length
 (time order up to 2, total space order up to 2).  Sources are pure:
 identical queries return identical values.
 
+A point of floats gives a float.  A point whose coordinates are arrays
+(an open mesh from ``np.meshgrid(..., sparse=True)``, say) gives values that
+broadcast against them, each equal to the float query at its node:
+
+* polynomial sources answer every query at arrays;
+* grid sources answer value queries at arrays, and raise
+  ``DerivativeUnavailableError`` for a derivative at arrays or for any node
+  off the grid;
+* radial-profile sources call their scalar profiles element by element.
+
+``sample_grid`` samples a whole grid with one array query per component.
+
 Three families cover everything the solvers and tests need:
 
 * polynomial sources with exact derivatives (manufactured fields),
@@ -16,6 +28,7 @@ Three families cover everything the solvers and tests need:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -46,22 +59,27 @@ class DerivativeUnavailableError(ValueError):
 
 
 class FieldSource(Protocol):
-    """Evaluator contract shared by all field sources."""
+    """Evaluator contract shared by all field sources.
 
-    def eval(self, component: str, point: Sequence[float],
-             d: Sequence[int] | None = None) -> float:
+    ``point`` holds floats, or arrays for the queries a source answers at
+    arrays (see the module docstring); the result is then an array, or a
+    float where the value does not vary, that broadcasts against them.
+    """
+
+    def eval(self, component: str, point: Sequence[float | np.ndarray],
+             d: Sequence[int] | None = None) -> float | np.ndarray:
         ...
 
 
-def _split_query(point: Sequence[float], d: Sequence[int] | None, ndim: int):
-    point = tuple(float(v) for v in point)
+def _split_query(point: Sequence[float | np.ndarray], d: Sequence[int] | None,
+                 ndim: int):
+    point = tuple([v.astype(float, copy=False) if isinstance(v, np.ndarray)
+                   else float(v) for v in point])
     if len(point) != ndim:
         raise DerivativeUnavailableError(
             f"expected a {ndim}-coordinate point, got {len(point)}")
-    if d is None:
-        d = (0,) * ndim
-    d = tuple(int(v) for v in d)
-    if len(d) != ndim or any(v < 0 for v in d):
+    d = (0,) * ndim if d is None else tuple([int(v) for v in d])
+    if len(d) != ndim or min(d, default=0) < 0:
         raise DerivativeUnavailableError(f"bad derivative multi-index {d}")
     return point, d
 
@@ -73,11 +91,18 @@ class PolyFieldSource:
 
     def __init__(self, components: Mapping[str, PolyTXY]) -> None:
         self.components = dict(components)
+        # (component, d) -> (polynomial, its derivative); the polynomial is
+        # kept so that a component replaced in place is differentiated anew.
+        self._derived: dict[tuple[str, tuple[int, ...]], tuple[PolyTXY, PolyTXY]] = {}
 
-    def eval(self, component: str, point: Sequence[float],
-             d: Sequence[int] | None = None) -> float:
+    def eval(self, component: str, point: Sequence[float | np.ndarray],
+             d: Sequence[int] | None = None) -> float | np.ndarray:
         point, d = _split_query(point, d, self.ndim)
-        return self.components[component].deriv(d)(*point)
+        poly = self.components[component]
+        derived = self._derived.get((component, d))
+        if derived is None or derived[0] is not poly:
+            derived = self._derived[component, d] = (poly, poly.deriv(d))
+        return derived[1](*point)
 
 
 def _stencil(order: int, i: int, n: int, h: float) -> tuple[list[int], list[float]]:
@@ -132,6 +157,8 @@ class GridFieldSource:
                 raise ValueError("grid axes must be 1D arrays")
             if ax.size > 1:
                 h = ax[1] - ax[0]
+                if h == 0.0:
+                    raise ValueError("grid axes must have nonzero spacing")
                 if not np.allclose(np.diff(ax), h, rtol=1e-9, atol=1e-12 * abs(h)):
                     raise ValueError("grid axes must be uniformly spaced")
             else:
@@ -152,26 +179,46 @@ class GridFieldSource:
                         f"component '{name}' has shape {arr.shape}, grid wants {shape}")
                 self.data[name] = arr
 
-    def _locate(self, axis: int, value: float) -> int:
+    def _locate(self, axis: int, value: float | np.ndarray) -> int | np.ndarray:
+        """Node index of a coordinate, or an index array for an array of them.
+
+        A value is on the grid if it rounds to a node within 1e-8 of the
+        spacing (plus 1e-12 relative); a non-finite value never is.  Floats
+        keep a plain-Python path: stencil queries locate one node at a time.
+        """
         ax = self.axes[axis]
         assert ax is not None
-        if ax.size == 1:
-            i = 0
-        else:
-            h = self.spacings[axis]
-            i = int(round((value - ax[0]) / h))
-        if i < 0 or i >= ax.size or abs(ax[i] - value) > 1e-8 * max(
-                self.spacings[axis], 1e-30) + 1e-12 * max(abs(value), 1.0):
-            raise DerivativeUnavailableError(
-                f"query {value} off the grid along axis {axis}")
-        return i
+        h = self.spacings[axis]
+        if isinstance(value, np.ndarray):
+            i = np.rint((value - ax[0]) / h) if ax.size > 1 else np.zeros(value.shape)
+            on_grid = np.isfinite(value) & (i >= 0) & (i < ax.size)
+            i = np.where(on_grid, i, 0).astype(int)
+            tol = 1e-8 * max(h, 1e-30) + 1e-12 * np.maximum(np.abs(value), 1.0)
+            on_grid &= np.abs(ax[i] - value) <= tol
+            if np.all(on_grid):
+                return i
+            value = value[~on_grid][0]
+        elif math.isfinite(value):
+            i = int(round((value - ax[0]) / h)) if ax.size > 1 else 0
+            if 0 <= i < ax.size and abs(ax[i] - value) <= 1e-8 * max(
+                    h, 1e-30) + 1e-12 * max(abs(value), 1.0):
+                return i
+        raise DerivativeUnavailableError(
+            f"query {value} off the grid along axis {axis}")
 
-    def eval(self, component: str, point: Sequence[float],
-             d: Sequence[int] | None = None) -> float:
+    def eval(self, component: str, point: Sequence[float | np.ndarray],
+             d: Sequence[int] | None = None) -> float | np.ndarray:
         point, d = _split_query(point, d, self.ndim)
         values = self.data[component]
         if isinstance(values, float):
             return values if all(v == 0 for v in d) else 0.0
+        if not any(d):
+            value = values[tuple(self._locate(axis, point[axis])
+                                 for axis in self._array_axes)]
+            return value if isinstance(value, np.ndarray) else float(value)
+        if any(isinstance(v, np.ndarray) for v in point):
+            raise DerivativeUnavailableError(
+                "grid derivatives are answered at single points only")
         idx_lists: list[list[int]] = []
         weight_lists: list[np.ndarray] = []
         for axis in range(self.ndim):
@@ -195,6 +242,18 @@ class GridFieldSource:
 
 _Profile = tuple[Callable[[float], float], Callable[[float], float],
                  Callable[[float], float]]
+
+
+def _elementwise(f: Callable[[float], float], v: float | np.ndarray):
+    """``f(v)``, or ``f`` called on each element when ``v`` is an array.
+
+    Each element goes through the scalar callable as a Python float, so an
+    array query rounds exactly like the float queries at its nodes.
+    """
+    if isinstance(v, np.ndarray):
+        return np.array([f(e) for e in v.ravel().tolist()],
+                        dtype=float).reshape(v.shape)
+    return f(v)
 
 
 class ProfileSource:
@@ -224,7 +283,8 @@ class ProfileSource:
         if order_r > 2:
             raise DerivativeUnavailableError(
                 f"radial derivative order {order_r} not available")
-        return float(prof[order_r](point[1]))
+        value = _elementwise(prof[order_r], point[1])
+        return value if isinstance(value, np.ndarray) else float(value)
 
 
 class RadialCartesianSource:
@@ -246,7 +306,7 @@ class RadialCartesianSource:
 
     def _g(self, r: float) -> tuple[float, float, float]:
         # g = w/r and its first two derivatives.
-        w, dw, d2w = (f(r) for f in self._w)
+        w, dw, d2w = (_elementwise(f, r) for f in self._w)
         g = w / r
         dg = dw / r - w / r**2
         d2g = d2w / r - 2.0 * dw / r**2 + 2.0 * w / r**3
@@ -261,13 +321,18 @@ class RadialCartesianSource:
         if nt > 0:
             return 0.0
         _, x, y = point
-        r = float(np.hypot(x, y))
+        r = np.hypot(x, y)
         if component in self._const:
             return self._const[component] if nx == ny == 0 else 0.0
-        if r <= 0.0:
+        if isinstance(r, np.ndarray):
+            singular = np.any(r <= 0.0)
+        else:
+            r = float(r)
+            singular = r <= 0.0
+        if singular:
             raise DerivativeUnavailableError("radial embedding is singular at r = 0")
         if component == "p":
-            P, dP, d2P = (f(r) for f in self._P)
+            P, dP, d2P = (_elementwise(f, r) for f in self._P)
             if (nx, ny) == (0, 0):
                 return P
             if (nx, ny) == (1, 0):
@@ -304,22 +369,15 @@ def sample_grid(source: FieldSource, axes: Sequence[np.ndarray | None],
     """Sample a source's values on a tensor grid (values only, no derivatives).
 
     ``None`` axes are passed through as constant directions; sampling then
-    fixes that coordinate at 0.
+    fixes that coordinate at 0.  Each component takes one array query on
+    the open mesh of the grid.
     """
     array_axes = [np.asarray(ax, dtype=float) for ax in axes if ax is not None]
     shape = tuple(ax.size for ax in array_axes)
-    data: dict[str, np.ndarray] = {name: np.empty(shape) for name in components}
-    for flat in np.ndindex(*shape):
-        point = []
-        k = 0
-        for ax in axes:
-            if ax is None:
-                point.append(0.0)
-            else:
-                point.append(array_axes[k][flat[k]])
-                k += 1
-        for name in components:
-            data[name][flat] = source.eval(name, point)
+    mesh = iter(np.meshgrid(*array_axes, indexing="ij", sparse=True))
+    point = tuple(0.0 if ax is None else next(mesh) for ax in axes)
+    data = {name: np.broadcast_to(source.eval(name, point), shape).astype(float)
+            for name in components}
     return GridFieldSource(axes, data)
 
 

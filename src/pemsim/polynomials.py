@@ -7,9 +7,20 @@ for displacement-symmetry generators and trivariate polynomials in
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["Poly2", "PolyTXY", "harmonic_basis", "random_harmonic"]
+
+
+@functools.lru_cache(maxsize=None)
+def _exponents(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Powers 0..n-1 along each axis of a table shape (shared, read-only)."""
+    powers = tuple(np.arange(n) for n in shape)
+    for p in powers:
+        p.setflags(write=False)
+    return powers
 
 
 def _deriv_table(coeffs: np.ndarray, orders) -> np.ndarray:
@@ -37,8 +48,8 @@ class Poly2:
     def zero(cls) -> "Poly2":
         return cls([[0.0]])
 
-    def __call__(self, x: float, y: float) -> float:
-        # Horner in y inside Horner in x.
+    def __call__(self, x, y):
+        # Horner in y inside Horner in x; floats or coordinate arrays.
         acc = 0.0
         for row in self.coeffs[::-1]:
             inner = 0.0
@@ -94,12 +105,16 @@ class PolyTXY:
     def deriv(self, d: tuple[int, int, int]) -> "PolyTXY":
         return PolyTXY(_deriv_table(self.coeffs, d))
 
-    def __call__(self, t: float, x: float, y: float) -> float:
-        c = self.coeffs
-        powt = t ** np.arange(c.shape[0])
-        powx = x ** np.arange(c.shape[1])
-        powy = y ** np.arange(c.shape[2])
-        return float(np.einsum("ijk,i,j,k->", c, powt, powx, powy))
+    def __call__(self, t, x, y):
+        """Value at a point of floats, or broadcast over coordinate arrays.
+
+        The batch axes of an array query sit in the ellipsis, so a float
+        query contracts exactly as ``einsum("ijk,i,j,k->")``.
+        """
+        powers = [(v[..., None] if isinstance(v, np.ndarray) else v) ** e
+                  for v, e in zip((t, x, y), _exponents(self.coeffs.shape))]
+        value = np.einsum("ijk,...i,...j,...k->...", self.coeffs, *powers)
+        return value if value.ndim else float(value)
 
 
 def harmonic_basis(degree: int) -> list[Poly2]:

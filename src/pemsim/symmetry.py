@@ -25,7 +25,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .core import AnisotropicModuli, ModelParams
-from .fields import FieldSource, GridFieldSource
+from .fields import FieldSource, GridFieldSource, _elementwise, _split_query
 from .polynomials import Poly2
 from .residuals import (CARTESIAN_EQUATIONS, _elastic_force,
                         residual_cartesian_aniso)
@@ -54,7 +54,11 @@ __all__ = [
 
 
 class PlaneFunction(Protocol):
-    """A twice-differentiable function of the plane coordinates."""
+    """A twice-differentiable function of the plane coordinates.
+
+    ``eval_deriv`` takes floats, or coordinate arrays that it broadcasts
+    (array queries on a displacement-shifted field pass them through).
+    """
 
     def eval_deriv(self, x: float, y: float, nx: int = 0, ny: int = 0) -> float:
         ...
@@ -68,14 +72,12 @@ class TimeFunction:
     df: Callable[[float], float]
     d2f: Callable[[float], float]
 
-    def deriv(self, t: float, order: int) -> float:
-        if order == 0:
-            return float(self.f(t))
-        if order == 1:
-            return float(self.df(t))
-        if order == 2:
-            return float(self.d2f(t))
-        raise ValueError(f"time derivative order {order} not available")
+    def deriv(self, t: float | np.ndarray, order: int) -> float | np.ndarray:
+        """Derivative of the given order at t, element by element for arrays."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"time derivative order {order} not available")
+        value = _elementwise((self.f, self.df, self.d2f)[order], t)
+        return value if isinstance(value, np.ndarray) else float(value)
 
     @classmethod
     def sine(cls) -> "TimeFunction":
@@ -192,7 +194,11 @@ class GroupElement:
 
 
 class TransformedFieldSource:
-    """Lazy action of a group element on an underlying field source."""
+    """Lazy action of a group element on an underlying field source.
+
+    Coordinate arrays pass through to the base source for every kind, so a
+    transformed field answers at arrays whatever its base answers there.
+    """
 
     ndim = 3
 
@@ -200,10 +206,9 @@ class TransformedFieldSource:
         self.element = element
         self.base = base
 
-    def eval(self, component: str, point: Sequence[float],
-             d: Sequence[int] | None = None) -> float:
-        t, x, y = (float(v) for v in point)
-        nt, nx, ny = (0, 0, 0) if d is None else tuple(int(v) for v in d)
+    def eval(self, component: str, point: Sequence[float | np.ndarray],
+             d: Sequence[int] | None = None) -> float | np.ndarray:
+        (t, x, y), (nt, nx, ny) = _split_query(point, d, self.ndim)
         el = self.element
         eps = el.parameter
         kind = el.kind
@@ -216,13 +221,13 @@ class TransformedFieldSource:
         if kind == "pressure-shift":
             val = self.base.eval(component, (t, x, y), (nt, nx, ny))
             if component == "p" and nx == 0 and ny == 0:
-                val += eps * el.g.deriv(t, nt)
+                val = val + eps * el.g.deriv(t, nt)
             return val
         if kind == "displacement-shift":
             val = self.base.eval(component, (t, x, y), (nt, nx, ny))
             if nt == 0 and component in ("u1", "u2"):
                 G = el.G[0] if component == "u1" else el.G[1]
-                val += eps * G.eval_deriv(x, y, nx, ny)
+                val = val + eps * G.eval_deriv(x, y, nx, ny)
             return val
         if kind == "concentration-scaling":
             if component == "c":
@@ -243,8 +248,8 @@ class TransformedFieldSource:
             return c * d1 - s * d2 if component == "u1" else s * d1 + c * d2
         return self._rotated_scalar(component, t, px, py, nt, nx, ny, c, s)
 
-    def _rotated_scalar(self, component: str, t: float, px: float, py: float,
-                        nt: int, nx: int, ny: int, c: float, s: float) -> float:
+    def _rotated_scalar(self, component: str, t, px, py,
+                        nt: int, nx: int, ny: int, c: float, s: float):
         """Derivative of a rotated scalar via gradient/Hessian transform."""
         base = self.base
         p = (t, px, py)
@@ -441,7 +446,11 @@ def cartesian_to_polar(u1: float, u2: float, phi: float) -> tuple[float, float]:
     Inverts the polar decomposition u = (w1*cos - w2*sin, w1*sin + w2*cos);
     scalar fields pass through unchanged.
     """
-    c, s = _trig(phi)
+    return _to_polar(u1, u2, *_trig(phi))
+
+
+def _to_polar(u1, u2, c, s):
+    # (w1, w2) from (u1, u2) at cos/sin (c, s) of the angle; arrays broadcast.
     return u1 * c + u2 * s, -u1 * s + u2 * c
 
 
@@ -458,21 +467,13 @@ def polar_samples_from_cartesian(field: FieldSource, t_nodes, r_nodes,
     t_nodes = np.asarray(t_nodes, dtype=float)
     phi_nodes = np.asarray(phi_nodes, dtype=float)
     shape = (t_nodes.size, r_nodes.size, phi_nodes.size)
-    data = {name: np.empty(shape) for name in
-            ("w1", "w2", "P", "rho", "theta", "C")}
-    for i, t in enumerate(t_nodes):
-        for j, r in enumerate(r_nodes):
-            for k, ph in enumerate(phi_nodes):
-                c, s = _trig(float(ph))
-                x, y = r * c, r * s
-                point = (t, x, y)
-                u1 = field.eval("u1", point)
-                u2 = field.eval("u2", point)
-                w1, w2 = cartesian_to_polar(u1, u2, float(ph))
-                data["w1"][i, j, k] = w1
-                data["w2"][i, j, k] = w2
-                data["P"][i, j, k] = field.eval("p", point)
-                data["rho"][i, j, k] = field.eval("rho", point)
-                data["theta"][i, j, k] = field.eval("thetaF", point)
-                data["C"][i, j, k] = field.eval("c", point)
+    trig = np.array([_trig(float(ph)) for ph in phi_nodes]).reshape(-1, 2)
+    t, r, c = np.meshgrid(t_nodes, r_nodes, trig[:, 0], indexing="ij", sparse=True)
+    s = trig[:, 1]
+    point = (t, r * c, r * s)
+    w1, w2 = _to_polar(field.eval("u1", point), field.eval("u2", point), c, s)
+    values = {"w1": w1, "w2": w2, "P": field.eval("p", point),
+              "rho": field.eval("rho", point), "theta": field.eval("thetaF", point),
+              "C": field.eval("c", point)}
+    data = {name: np.broadcast_to(v, shape).astype(float) for name, v in values.items()}
     return GridFieldSource([t_nodes, r_nodes, phi_nodes], data)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pemsim import symmetry, transient
+from pemsim import fields, symmetry, transient
 from pemsim.core import ModelParams
 from pemsim.fields import random_polynomial_field
 
@@ -54,6 +54,24 @@ def test_invariance_check_reaches_traced_residual_operator():
     assert counts["check_invariance"] == 1
     assert counts["residual_cartesian.poly"] == 2
     assert counts["residual_cartesian.transformed"] == 2
+
+
+def test_sample_grid_queries_each_component_once():
+    # One array query per component: a per-node loop would show 405 * 6
+    # polynomial evaluations here.
+    field = random_polynomial_field(np.random.default_rng(5))
+    axes = [np.linspace(0.0, 0.8, 5), np.linspace(-1.5, 1.5, 9),
+            np.linspace(-1.5, 1.5, 9)]
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        fields.sample_grid(field, axes, fields.CARTESIAN_COMPONENTS)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts()
+    assert counts["sample_grid"] == 1
+    assert tracer.sizes["sample_grid"] == 405
+    assert counts["eval.poly"] <= 6
 
 
 def test_simulate_band_solves_reach_tracer():

@@ -123,6 +123,20 @@ class TestGridFieldSource:
         assert src.eval("c", (0.0, xs[3])) == 2.5
         assert src.eval("c", (0.0, xs[3]), (0, 2)) == 0.0
 
+    def test_zero_spacing_axis_rejected(self):
+        with pytest.raises(ValueError, match="nonzero spacing"):
+            GridFieldSource([np.array([1.0, 1.0, 1.0])], {"f": np.zeros(3)})
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_query_is_off_the_grid(self, bad):
+        src, (ts, xs, ys) = self.make(nx=9, ny=9)
+        for d in ((0, 0, 0), (0, 1, 0)):
+            with pytest.raises(DerivativeUnavailableError, match="off the grid"):
+                src.eval("f", (ts[0], bad, ys[0]), d)
+        single = GridFieldSource([np.array([0.5])], {"f": np.array([2.0])})
+        with pytest.raises(DerivativeUnavailableError, match="off the grid"):
+            single.eval("f", (bad,))
+
     def test_order_above_two_rejected(self):
         src, (ts, xs, ys) = self.make()
         with pytest.raises(DerivativeUnavailableError):

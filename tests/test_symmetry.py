@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pemsim.core import AnisotropicModuli, ModelParams, lame_star
-from pemsim.fields import random_polynomial_field, sample_grid
+from pemsim.fields import (DerivativeUnavailableError, random_polynomial_field,
+                           sample_grid)
 from pemsim.polynomials import Poly2, PolyTXY, random_harmonic
 from pemsim.residuals import residual_cartesian_iso
 from pemsim.stationary import neumann_solution, rst_cubic
@@ -120,6 +121,16 @@ class TestApplyGroup:
             for d in ((0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 2, 0)):
                 assert moved.eval(comp, (0.3, 0.4, -0.2), d) == pytest.approx(
                     field.eval(comp, (0.3, 0.4, -0.2), d), rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("point, d", [((0.3, 0.4), None),
+                                          ((0.3, 0.4, 0.5, 0.6), None),
+                                          ((0.3, 0.4, 0.5), (0, 1)),
+                                          ((0.3, 0.4, 0.5), (0, -1, 0))])
+    def test_malformed_query_rejected(self, point, d):
+        field = apply_group(GroupElement.x_translation(0.25),
+                            random_polynomial_field(np.random.default_rng(7)))
+        with pytest.raises(DerivativeUnavailableError):
+            field.eval("u1", point, d)
 
     def test_rotation_inverse(self):
         rng = np.random.default_rng(23)
