@@ -27,6 +27,7 @@ the solution and the step rates fall to zero once the run is steady.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,11 @@ class SimConfig:
     stop_when_steady: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("N", "output_every"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.N < 16:
             raise ValueError("N must be at least 16")
         if not 0 < self.dt < math.inf:
@@ -148,6 +154,9 @@ def fd2(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+_lapack = None  # scipy.linalg.lapack, bound by the first solve_banded call
+
+
 def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray,
                  b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for the band matrix a stored as ``ab[u + i - j, j]``.
@@ -157,7 +166,9 @@ def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray,
     goes to dgtsv, any other to dgbsv on a copy of ab below l zero rows.  The
     inputs are not modified.  scipy is loaded by the first call.
     """
-    from scipy.linalg import lapack
+    global _lapack
+    if _lapack is None:
+        from scipy.linalg import lapack as _lapack
 
     l, u = l_and_u
     if ab.shape != (l + u + 1, len(b)):
@@ -166,11 +177,11 @@ def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray,
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     if l == u == 1:
-        _, _, _, x, info = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+        _, _, _, x, info = _lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
     else:
         lu = np.zeros((2 * l + u + 1, ab.shape[1]), order="F")
         lu[l:] = ab
-        _, _, x, info = lapack.dgbsv(l, u, lu, b, overwrite_ab=True)
+        _, _, x, info = _lapack.dgbsv(l, u, lu, b, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -195,20 +206,31 @@ class _Stepper:
         self.config = config
         self.geometry = geometry
         self.r_in = 0.0 if geometry == "circle" else params.r0
-        self.N = config.N
-        self.eta = np.linspace(0.0, 1.0, config.N + 1)
+        N = self.N = config.N
+        self.eta = np.linspace(0.0, 1.0, N + 1)
+        self.nodes = np.arange(N + 1)
+        self.ones = np.ones(N - 1)   # spreads a scalar along a diagonal
         self.ls = lame_star(params)
+        # Scatter plan: the flat band position of each coefficient assemble_wp
+        # lists, in its order.  Term (row, col, m, drow) covers the entries
+        # (row + drow*j, col + 2j), j < m: down a diagonal or along one row.
+        cols, n = 2 * (N + 1), N - 1
+        terms = [(2, 0, n, 2), (2, 2, n, 2), (2, 4, n, 2), (2, 1, n, 2),
+                 (2, 5, n, 2), (3, 1, n, 2), (3, 3, n, 2), (3, 5, n, 2),
+                 (3, 0, n, 2), (5, 0, n - 1, 2), (5, 4, n - 1, 2),
+                 (3, 2, n, 2), (3, 0, n, 2), (3, 4, n, 2),
+                 (3, 4, n, 2), (3, 2, n - 1, 2), (3, 6, n - 1, 2),
+                 (2 * N - 1, 2 * N - 4, 3, 0), (0, 0, 1, 0),
+                 (1, 1, 1 if geometry == "annulus" else 3, 0),
+                 (2 * N, 2 * N - 4, 3, 0), (2 * N + 1, 2 * N + 1, 1, 0)]
+        self.wp_plan = np.concatenate([
+            (4 + r - c) * cols + c + (2 + (dr - 2) * cols) * np.arange(m)
+            for r, c, m, dr in terms])
         # Previous-step data, set by simulate().
-        self.t = 0.0
-        self.S = params.R0
-        self.w = np.zeros(config.N + 1)
-        self.P = np.full(config.N + 1, params.p_a)
-        self.Sdot = 0.0
-        self.rho = np.zeros(config.N + 1)
-        self.theta = np.zeros(config.N + 1)
-        self.V = np.zeros(config.N + 1)
-        self.rho_t = np.zeros(config.N + 1)
-        self.e = np.zeros(config.N + 1)
+        self.t, self.S, self.Sdot = 0.0, params.R0, 0.0
+        self.P = np.full(N + 1, params.p_a)
+        self.w, self.rho, self.theta, self.V, self.rho_t, self.e = (
+            np.zeros(N + 1) for _ in range(6))
 
     def load_at(self, t: float) -> float:
         F0 = self.params.F0
@@ -226,15 +248,17 @@ class _Stepper:
 
     # ---- linear (w, P) solve for a trial boundary position ----------------
 
-    def solve_wp(self, S: float, dt: float, t_new: float):
-        """Backward-Euler solve of the coupled displacement/pressure system
-        on the grid mapped to [r_in, S], for a trial S.
+    def assemble_wp(self, S: float, dt: float, t_new: float):
+        """The (5, 4) band ab and right-hand side of the backward-Euler
+        displacement/pressure system on the grid mapped to [r_in, S].
 
-        Unknowns interleave as (w_0, P_0, w_1, P_1, ...).  Every stencil
-        coefficient is added straight into the (5, 4) band storage, where
-        entry (row, col) lives at ``ab[uband + row - col, col]``.  Entries
-        that several stencil terms share are summed in the order written
-        below; reordering them changes the solution in its last bits.
+        Unknowns interleave as (w_0, P_0, w_1, P_1, ...); entry (row, col)
+        lives at ``ab[4 + row - col, col]``.  The stencil coefficients are
+        listed term by term, and one scatter through ``wp_plan`` (their band
+        positions in the same order, built once per run) sums them into ab:
+        ``np.bincount`` adds in input order from 0.0, so an entry that several
+        terms share is their sum in the order listed.  Reordering the terms,
+        in the list and the plan alike, changes the solution in its last bits.
 
         The boundary rows are scaled to the interior magnitude ls/h^2: unit
         Dirichlet rows would be pivoted below rows some 1e6 times larger,
@@ -245,94 +269,75 @@ class _Stepper:
         p = self.params
         N = self.N
         h = (S - self.r_in) / N
-        eta = self.eta
         Sdot = (S - self.S) / dt
         k, ls, lam = p.k, self.ls, p.lam
-        quasi = self.config.quasi_static
-
-        lband, uband = 5, 4
-        ab = np.zeros((lband + uband + 1, 2 * (N + 1)))
         rhs = np.zeros(2 * (N + 1))
 
-        def diag(row, col, vals, n=N - 1):
-            # entries (row + 2j, col + 2j), j = 0 .. n-1
-            ab[uband + row - col, col:col + 2 * n:2] += vals
-
-        def entries(row, col, vals):
-            # entries (row, col + 2j) of a single row
-            for j, v in enumerate(vals):
-                ab[uband + row - col - 2 * j, col + 2 * j] += v
-
-        ri = self.r_in + h * np.arange(1, N)   # interior nodes i = 1 .. N-1
-        Ai = -Sdot * eta[1:N]        # advective factor inside the w_t operator
+        ri = self.r_in + h * self.nodes[1:N]   # interior nodes i = 1 .. N-1
+        A = -Sdot * self.eta         # advective factor inside the w_t operator
         c1 = 1.0 / (2.0 * h)         # central D1 weight
         inv_2hr = 1.0 / (2.0 * h * ri)
+        lap_m, lap_p = 1.0 / h**2 - inv_2hr, 1.0 / h**2 + inv_2hr  # D2 + D1/r
 
         # Momentum rows 2i: inertia + P_r - elastic = rhs.
-        cw_m = -ls * (1.0 / h**2 - inv_2hr)
+        cw_m = -ls * lap_m
         cw_0 = -ls * (-2.0 / h**2 - 1.0 / ri**2)
-        cw_p = -ls * (1.0 / h**2 + inv_2hr)
-        if not quasi:
+        cw_p = -ls * lap_p
+        if not self.config.quasi_static:
             rho_i = self.rho[1:N]
             # Quadratic velocity products at the previous time level.
             Vn = self.V
             Qn = Vn[1:N] * (self.rho_t[1:N] + rho_i * fd1(Vn, h)[1:N]
                             + rho_i * Vn[1:N] / ri)
             cw_0 = cw_0 + rho_i / dt**2
-            cw_m = cw_m + rho_i / dt * Ai * (-c1)
-            cw_p = cw_p + rho_i / dt * Ai * c1
+            cw_m = cw_m + rho_i / dt * A[1:N] * (-c1)
+            cw_p = cw_p + rho_i / dt * A[1:N] * c1
             rhs[2:2 * N:2] = (rho_i * self.w[1:N] / dt**2 + rho_i * Vn[1:N] / dt
                               - Qn)
-        diag(2, 0, cw_m)             # w_{i-1}
-        diag(2, 2, cw_0)             # w_i
-        diag(2, 4, cw_p)             # w_{i+1}
-        diag(2, 1, -c1)              # P_{i-1}
-        diag(2, 5, c1)               # P_{i+1}
+        # w_{i-1}, w_i, w_{i+1}, P_{i-1}, P_{i+1}
+        vals = [cw_m, cw_0, cw_p, -c1 * self.ones, c1 * self.ones]
 
         # Volume-balance rows 2i+1:
         #   (D1 V)_i + V_i/r_i - (k/2)(D2 P + D1 P / r)_i = 0,
         # with V_j = (w_j - w^n_j)/dt - Sdot*eta_j*(D1 w)_j.
-        diag(3, 1, -(k / 2.0) * (1.0 / h**2 - inv_2hr))
-        diag(3, 3, -(k / 2.0) * (-2.0 / h**2))
-        diag(3, 5, -(k / 2.0) * (1.0 / h**2 + inv_2hr))
-        wn = self.w
+        vals += [-(k / 2.0) * lap_m, -(k / 2.0) * (-2.0 / h**2) * self.ones,
+                 -(k / 2.0) * lap_p]
         for s, a in ((-1, -c1), (0, 1.0 / ri), (1, c1)):
-            # node j = i + s
-            diag(3, 2 + 2 * s, a / dt)
-            rhs[3:2 * N:2] += a * wn[1 + s:N + s] / dt
-            # Advective part of V_j through its central D1 stencil, for the
-            # interior nodes j only; eta[0] = 0 makes the inner node's part
-            # vanish, and the outer node's one-sided stencil is patched below.
+            # w_j at node j = i + s, then the advective part of V_j through
+            # its central D1 stencil at interior j only: eta[0] = 0, and the
+            # outer node's one-sided stencil is patched below.
             lo, hi = max(0, -s), N - 1 - max(0, s)
-            coef = a * (-Sdot * eta[1 + s + lo:1 + s + hi])
-            diag(3 + 2 * lo, 2 * (lo + s), coef * (-c1), hi - lo)
-            diag(3 + 2 * lo, 2 * (lo + s + 2), coef * c1, hi - lo)
-        # Patch: row i = N-1 touches V_N whose D1 stencil is one-sided.
-        cN = c1 * (-Sdot * eta[N])
-        entries(2 * N - 1, 2 * N - 4,
-                (cN * 0.5 / h, cN * (-2.0) / h, cN * 1.5 / h))
+            coef = a * A[1 + s + lo:1 + s + hi]
+            vals += [a / dt * self.ones, coef * (-c1), coef * c1]
+            rhs[3:2 * N:2] += a * self.w[1 + s:N + s] / dt
 
-        # Boundary rows: Dirichlet rows weighted by d, derivative rows by 1/h.
+        # Row i = N-1 touches V_N, whose D1 stencil is one-sided; then the
+        # boundary rows, Dirichlet ones weighted by d, derivative ones by 1/h.
+        cN = c1 * A[N]
         d = ls / h**2
-        entries(0, 0, (d,))                        # w(inner) = 0
+        inner_P = ((d,) if self.geometry == "annulus"             # P = p_a
+                   else (-1.5 / h**2, 2.0 / h**2, -0.5 / h**2))  # P_r = 0
+        vals.append(np.array([
+            cN * 0.5 / h, cN * (-2.0) / h, cN * 1.5 / h,  # V_N patch
+            d, *inner_P,                                  # w = 0, P at r_in
+            ls * 0.5 / h**2, -ls * 2.0 / h**2, (ls * 1.5 / h + lam / S) / h,
+            d]))                                # traction; P(outer) = p_a
         if self.geometry == "annulus":
-            entries(1, 1, (d,))                    # P(inner) = p_a
             rhs[1] = d * p.p_a
-        else:
-            entries(1, 1, (-1.5 / h**2, 2.0 / h**2, -0.5 / h**2))  # P_r(0) = 0
-        entries(2 * N, 2 * N - 4, (ls * 0.5 / h**2, -ls * 2.0 / h**2,
-                                   (ls * 1.5 / h + lam / S) / h))
-        rhs[2 * N] = self.traction_rhs(t_new, S) / h
-        entries(2 * N + 1, 2 * N + 1, (d,))        # P(outer) = p_a
-        rhs[2 * N + 1] = d * p.p_a
+        rhs[2 * N:] = self.traction_rhs(t_new, S) / h, d * p.p_a
 
-        z = solve_banded((lband, uband), ab, rhs)
+        ab = np.bincount(self.wp_plan, np.concatenate(vals), 20 * (N + 1))
+        return ab.reshape(10, 2 * (N + 1)), rhs
+
+    def solve_wp(self, S: float, dt: float, t_new: float):
+        """Solve the system of :meth:`assemble_wp`; returns (w, P)."""
+        z = solve_banded((5, 4), *self.assemble_wp(S, dt, t_new))
         w_sol, P_sol = z[0::2], z[1::2]
         # pin the Dirichlet rows exactly (LU leaves rounding-level residue)
         w_sol[0] = 0.0
         if self.geometry == "annulus":
-            P_sol[0] = p.p_a
-        P_sol[N] = p.p_a
+            P_sol[0] = self.params.p_a
+        P_sol[-1] = self.params.p_a
         return w_sol, P_sol
 
     # ---- free-boundary scalar solve ---------------------------------------
@@ -428,20 +433,7 @@ class _Stepper:
 
     # ---- transported diagnostics -------------------------------------------
 
-    def dilatation(self, S: float, w: np.ndarray) -> np.ndarray:
-        """Discrete dilatation w_r + w/r (regularized limit 2*w_r at r=0)."""
-        h = (S - self.r_in) / self.N
-        r = self.r_in + h * np.arange(self.N + 1)
-        e = fd1(w, h)
-        if self.geometry == "circle":
-            e[0] *= 2.0
-            e[1:] += w[1:] / r[1:]
-        else:
-            e += w / r
-        return e
-
-    def advance_transport(self, S: float, dt: float, w: np.ndarray,
-                          P: np.ndarray):
+    def advance_transport(self, S: float, dt: float, w: np.ndarray):
         """Update density and porosity on the new grid.
 
         Advection (matrix velocity minus grid velocity) is treated by
@@ -460,7 +452,8 @@ class _Stepper:
         N = self.N
         h = (S - self.r_in) / N
         Sdot = (S - self.S) / dt
-        V = (w - self.w) / dt - Sdot * self.eta * fd1(w, h)
+        w_r = fd1(w, h)
+        V = (w - self.w) / dt - Sdot * self.eta * w_r
         v = V - Sdot * self.eta
 
         # Straight into the (1, 1) band storage, entry (i, j) at ab[1 + i - j, j]:
@@ -475,7 +468,14 @@ class _Stepper:
         ab[1, :-1] += dn
         ab[0, 1:] -= dn
 
-        e_new = self.dilatation(S, w)
+        # Dilatation w_r + w/r (2*w_r at r = 0), in place of the used w_r.
+        r = self.r_in + h * self.nodes
+        e_new = w_r
+        if self.geometry == "circle":
+            e_new[0] *= 2.0
+            e_new[1:] += w[1:] / r[1:]
+        else:
+            e_new += w / r
         decay = np.exp(-2.0 * (e_new - self.e))
         rho_star = solve_banded((1, 1), ab, self.rho / dt)
         theta_star = solve_banded((1, 1), ab, self.theta / dt)
@@ -535,7 +535,7 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
             try:
                 S_new, w_new, P_new, _ = st.solve_step(dt)
                 rho_new, theta_new, V_new, e_new = st.advance_transport(
-                    S_new, dt, w_new, P_new)
+                    S_new, dt, w_new)
                 break
             except SimulationError:
                 halvings += 1
@@ -545,18 +545,18 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
 
         Sdot = (S_new - st.S) / dt
         rates = {
-            "w": float(np.max(np.abs(V_new))),
-            "P": float(np.max(np.abs(P_new - st.P)) / dt),
-            "rho": float(np.max(np.abs(rho_new - st.rho)) / dt),
-            "theta": float(np.max(np.abs(theta_new - st.theta)) / dt),
+            "w": float(np.abs(V_new).max()),
+            "P": float(np.abs(P_new - st.P).max() / dt),
+            "rho": float(np.abs(rho_new - st.rho).max() / dt),
+            "theta": float(np.abs(theta_new - st.theta).max() / dt),
             "S": abs(Sdot),
         }
         st.rho_t = (rho_new - st.rho) / dt
         st.t = st.t + dt if remaining - dt > slack else config.t_end
         st.S, st.Sdot, st.w, st.P = S_new, Sdot, w_new, P_new
         st.V, st.e, st.rho, st.theta = V_new, e_new, rho_new, theta_new
-        if np.any(theta_new <= 0.0) or np.any(theta_new >= 1.0) or np.any(
-                rho_new <= 0.0):
+        if ((theta_new <= 0.0).any() or (theta_new >= 1.0).any()
+                or (rho_new <= 0.0).any()):
             raise PhysicalBoundsError(
                 f"porosity/density left physical bounds at t={st.t}",
                 _make_state(st, rates))

@@ -35,10 +35,19 @@ class TestSimConfig:
         (dict(t_end=math.inf), "t_end"),
         (dict(steady_tol=math.inf), "steady_tol"),
         (dict(load_ramp=math.inf), "load_ramp"),
+        (dict(N=20.5), "N must be an integer"),
+        (dict(N=math.nan), "N must be an integer"),
+        (dict(N="20"), "N must be an integer"),
+        (dict(output_every=2.5), "output_every must be an integer"),
+        (dict(output_every=math.nan), "output_every must be an integer"),
     ])
     def test_validation(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
             SimConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(N=np.int64(20), output_every=np.int32(3))
+        assert cfg.N == 20 and cfg.output_every == 3
 
 
 class TestFiniteDifferenceHelpers:
@@ -119,6 +128,109 @@ class TestBandAssembly:
         target = -p.F0 / (2.0 * math.pi * S)
         assert abs(traction - target) <= 1e-11 * (
             ls * 4.0 / h * wmax + p.lam * wmax / S + abs(target))
+
+
+def stencil_sum_band(st, S, dt, t_new):
+    """The (w, P) band and right-hand side summed term by term into band
+    storage, in the order that _Stepper.assemble_wp documents."""
+    p, N = st.params, st.N
+    h = (S - st.r_in) / N
+    eta = st.eta
+    Sdot = (S - st.S) / dt
+    k, ls, lam = p.k, st.ls, p.lam
+    lband, uband = 5, 4
+    ab = np.zeros((lband + uband + 1, 2 * (N + 1)))
+    rhs = np.zeros(2 * (N + 1))
+
+    def diag(row, col, vals, n=N - 1):
+        # entries (row + 2j, col + 2j), j = 0 .. n-1
+        ab[uband + row - col, col:col + 2 * n:2] += vals
+
+    def entries(row, col, vals):
+        # entries (row, col + 2j) of a single row
+        for j, v in enumerate(vals):
+            ab[uband + row - col - 2 * j, col + 2 * j] += v
+
+    ri = st.r_in + h * np.arange(1, N)
+    Ai = -Sdot * eta[1:N]
+    c1 = 1.0 / (2.0 * h)
+    inv_2hr = 1.0 / (2.0 * h * ri)
+    cw_m = -ls * (1.0 / h**2 - inv_2hr)
+    cw_0 = -ls * (-2.0 / h**2 - 1.0 / ri**2)
+    cw_p = -ls * (1.0 / h**2 + inv_2hr)
+    if not st.config.quasi_static:
+        rho_i = st.rho[1:N]
+        Vn = st.V
+        Qn = Vn[1:N] * (st.rho_t[1:N] + rho_i * fd1(Vn, h)[1:N]
+                        + rho_i * Vn[1:N] / ri)
+        cw_0 = cw_0 + rho_i / dt**2
+        cw_m = cw_m + rho_i / dt * Ai * (-c1)
+        cw_p = cw_p + rho_i / dt * Ai * c1
+        rhs[2:2 * N:2] = (rho_i * st.w[1:N] / dt**2 + rho_i * Vn[1:N] / dt
+                          - Qn)
+    diag(2, 0, cw_m)
+    diag(2, 2, cw_0)
+    diag(2, 4, cw_p)
+    diag(2, 1, -c1)
+    diag(2, 5, c1)
+    diag(3, 1, -(k / 2.0) * (1.0 / h**2 - inv_2hr))
+    diag(3, 3, -(k / 2.0) * (-2.0 / h**2))
+    diag(3, 5, -(k / 2.0) * (1.0 / h**2 + inv_2hr))
+    for s, a in ((-1, -c1), (0, 1.0 / ri), (1, c1)):
+        diag(3, 2 + 2 * s, a / dt)
+        rhs[3:2 * N:2] += a * st.w[1 + s:N + s] / dt
+        lo, hi = max(0, -s), N - 1 - max(0, s)
+        coef = a * (-Sdot * eta[1 + s + lo:1 + s + hi])
+        diag(3 + 2 * lo, 2 * (lo + s), coef * (-c1), hi - lo)
+        diag(3 + 2 * lo, 2 * (lo + s + 2), coef * c1, hi - lo)
+    cN = c1 * (-Sdot * eta[N])
+    entries(2 * N - 1, 2 * N - 4,
+            (cN * 0.5 / h, cN * (-2.0) / h, cN * 1.5 / h))
+    d = ls / h**2
+    entries(0, 0, (d,))
+    if st.geometry == "annulus":
+        entries(1, 1, (d,))
+        rhs[1] = d * p.p_a
+    else:
+        entries(1, 1, (-1.5 / h**2, 2.0 / h**2, -0.5 / h**2))
+    entries(2 * N, 2 * N - 4, (ls * 0.5 / h**2, -ls * 2.0 / h**2,
+                               (ls * 1.5 / h + lam / S) / h))
+    rhs[2 * N] = st.traction_rhs(t_new, S) / h
+    entries(2 * N + 1, 2 * N + 1, (d,))
+    rhs[2 * N + 1] = d * p.p_a
+    return ab, rhs
+
+
+class TestBandScatter:
+    """assemble_wp's one ordered scatter equals the term-by-term stencil sum
+    bit for bit, shared entries included."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=hst.integers(0, 2**32 - 1), N=hst.integers(16, 200),
+           geometry=hst.sampled_from(["annulus", "circle"]),
+           quasi=hst.booleans(),
+           traction_form=hst.sampled_from(["annulus", "ring"]))
+    def test_band_equals_stencil_sum(self, seed, N, geometry, quasi,
+                                     traction_form):
+        rng = np.random.default_rng(seed)
+        p = ModelParams.reference(F0=rng.uniform(0.0, 16 * math.pi),
+                                  p_a=rng.uniform(-0.5, 0.5))
+        cfg = SimConfig(N=N, quasi_static=quasi, traction_form=traction_form,
+                        load_ramp=rng.choice([0.0, 0.3]))
+        st = _Stepper(p, cfg, geometry)
+        st.S = p.R0 * rng.uniform(0.7, 1.0)
+        st.w = 0.1 * rng.normal(size=N + 1)
+        st.P = p.p_a + 0.1 * rng.normal(size=N + 1)
+        st.rho = rng.uniform(0.5, 2.0, N + 1)
+        st.V = rng.normal(size=N + 1)
+        st.rho_t = rng.normal(size=N + 1)
+        dt = rng.uniform(1e-4, 1e-2)
+        S = st.S * (1.0 + 0.01 * rng.normal())
+        t_new = rng.uniform(0.0, 1.0)
+        ab, rhs = st.assemble_wp(S, dt, t_new)
+        ab_ref, rhs_ref = stencil_sum_band(st, S, dt, t_new)
+        assert ab.shape == ab_ref.shape
+        assert np.array_equal(ab, ab_ref) and np.array_equal(rhs, rhs_ref)
 
 
 class TestSolveBanded:
