@@ -7,13 +7,10 @@ identical queries return identical values.
 
 A point of floats gives a float.  A point whose coordinates are arrays
 (an open mesh from ``np.meshgrid(..., sparse=True)``, say) gives values that
-broadcast against them, each equal to the float query at its node:
-
-* polynomial sources answer every query at arrays;
-* grid sources answer value queries at arrays, and raise
-  ``DerivativeUnavailableError`` for a derivative at arrays or for any node
-  off the grid;
-* radial-profile sources call their scalar profiles element by element.
+broadcast against them.  Every source answers every query at arrays, each
+value equal to the float query at its node bit for bit: polynomials run
+the same Horner steps, grid derivatives go node by node through the float
+stencils, and radial profiles are called element by element.
 
 ``sample_grid`` samples a whole grid with one array query per component.
 
@@ -61,9 +58,9 @@ class DerivativeUnavailableError(ValueError):
 class FieldSource(Protocol):
     """Evaluator contract shared by all field sources.
 
-    ``point`` holds floats, or arrays for the queries a source answers at
-    arrays (see the module docstring); the result is then an array, or a
-    float where the value does not vary, that broadcasts against them.
+    ``point`` holds floats, or arrays (see the module docstring); the
+    result is then an array, or a float where the value does not vary,
+    that broadcasts against them.
     """
 
     def eval(self, component: str, point: Sequence[float | np.ndarray],
@@ -217,8 +214,16 @@ class GridFieldSource:
                                  for axis in self._array_axes)]
             return value if isinstance(value, np.ndarray) else float(value)
         if any(isinstance(v, np.ndarray) for v in point):
-            raise DerivativeUnavailableError(
-                "grid derivatives are answered at single points only")
+            nodes = np.broadcast_arrays(*point)
+            return np.array(
+                [self._derivative(values, node, d)
+                 for node in zip(*(v.ravel().tolist() for v in nodes))],
+                dtype=float).reshape(nodes[0].shape)
+        return self._derivative(values, point, d)
+
+    def _derivative(self, values: np.ndarray, point: tuple[float, ...],
+                    d: tuple[int, ...]) -> float:
+        """Stencil derivative at a point of floats; arrays go node by node."""
         idx_lists: list[list[int]] = []
         weight_lists: list[np.ndarray] = []
         for axis in range(self.ndim):
@@ -304,14 +309,6 @@ class RadialCartesianSource:
         self._P = P
         self._const = {"rho": float(rho), "thetaF": float(thetaF), "c": float(c)}
 
-    def _g(self, r: float) -> tuple[float, float, float]:
-        # g = w/r and its first two derivatives.
-        w, dw, d2w = (_elementwise(f, r) for f in self._w)
-        g = w / r
-        dg = dw / r - w / r**2
-        d2g = d2w / r - 2.0 * dw / r**2 + 2.0 * w / r**3
-        return g, dg, d2g
-
     def eval(self, component: str, point: Sequence[float],
              d: Sequence[int] | None = None) -> float:
         point, d = _split_query(point, d, self.ndim)
@@ -324,13 +321,12 @@ class RadialCartesianSource:
         r = np.hypot(x, y)
         if component in self._const:
             return self._const[component] if nx == ny == 0 else 0.0
-        if isinstance(r, np.ndarray):
-            singular = np.any(r <= 0.0)
-        else:
-            r = float(r)
-            singular = r <= 0.0
-        if singular:
+        if np.any(r <= 0.0):
             raise DerivativeUnavailableError("radial embedding is singular at r = 0")
+        r = r if isinstance(r, np.ndarray) else float(r)
+        # Powers as products: an array ``**`` rounds unlike a float ``**``.
+        r2 = r * r
+        r3 = r2 * r
         if component == "p":
             P, dP, d2P = (_elementwise(f, r) for f in self._P)
             if (nx, ny) == (0, 0):
@@ -340,28 +336,32 @@ class RadialCartesianSource:
             if (nx, ny) == (0, 1):
                 return dP * y / r
             if (nx, ny) == (2, 0):
-                return d2P * x**2 / r**2 + dP * (1.0 / r - x**2 / r**3)
+                return d2P * (x * x) / r2 + dP * (1.0 / r - x * x / r3)
             if (nx, ny) == (0, 2):
-                return d2P * y**2 / r**2 + dP * (1.0 / r - y**2 / r**3)
-            return d2P * x * y / r**2 - dP * x * y / r**3
+                return d2P * (y * y) / r2 + dP * (1.0 / r - y * y / r3)
+            return d2P * x * y / r2 - dP * x * y / r3
         if component not in ("u1", "u2"):
             raise KeyError(component)
-        g, dg, d2g = self._g(r)
-        # u1 = g(r) x; u2 mirrors with x and y swapped.
+        # u1 = g(r) x with g = w/r; u2 mirrors with x and y swapped.
+        w, dw, d2w = (_elementwise(f, r) for f in self._w)
+        g = w / r
+        dg = dw / r - w / r2
+        d2g = d2w / r - 2.0 * dw / r2 + 2.0 * w / r3
         if component == "u2":
             x, y = y, x
             nx, ny = ny, nx
         if (nx, ny) == (0, 0):
             return g * x
         if (nx, ny) == (1, 0):
-            return g + dg * x**2 / r
+            return g + dg * (x * x) / r
         if (nx, ny) == (0, 1):
             return dg * x * y / r
         if (nx, ny) == (2, 0):
-            return d2g * x**3 / r**2 + dg * (3.0 * x / r - x**3 / r**3)
+            x3 = x * x * x
+            return d2g * x3 / r2 + dg * (3.0 * x / r - x3 / r3)
         if (nx, ny) == (0, 2):
-            return d2g * x * y**2 / r**2 + dg * (x / r - x * y**2 / r**3)
-        return dg * y / r + d2g * x**2 * y / r**2 - dg * x**2 * y / r**3
+            return d2g * x * (y * y) / r2 + dg * (x / r - x * (y * y) / r3)
+        return dg * y / r + d2g * (x * x) * y / r2 - dg * (x * x) * y / r3
 
 
 def sample_grid(source: FieldSource, axes: Sequence[np.ndarray | None],

@@ -7,20 +7,24 @@ for displacement-symmetry generators and trivariate polynomials in
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 __all__ = ["Poly2", "PolyTXY", "harmonic_basis", "random_harmonic"]
 
 
-@functools.lru_cache(maxsize=None)
-def _exponents(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Powers 0..n-1 along each axis of a table shape (shared, read-only)."""
-    powers = tuple(np.arange(n) for n in shape)
-    for p in powers:
-        p.setflags(write=False)
-    return powers
+def _horner(rows: list, v, *rest):
+    """Nested Horner in ``v`` (outermost) and ``rest`` over a reversed table.
+
+    ``rows`` holds the table reversed along every axis as Python floats.
+    An array query runs the same multiplies and adds at each element as a
+    float query at that node, so the two round alike for every table shape;
+    a single row still enters as ``0.0 * v + row``, for the broadcast shape.
+    """
+    acc = None
+    for row in rows:
+        term = _horner(row, *rest) if rest else row
+        acc = term if acc is None else acc * v + term
+    return acc if len(rows) > 1 else 0.0 * v + acc
 
 
 def _deriv_table(coeffs: np.ndarray, orders) -> np.ndarray:
@@ -50,13 +54,7 @@ class Poly2:
 
     def __call__(self, x, y):
         # Horner in y inside Horner in x; floats or coordinate arrays.
-        acc = 0.0
-        for row in self.coeffs[::-1]:
-            inner = 0.0
-            for c in row[::-1]:
-                inner = inner * y + c
-            acc = acc * x + inner
-        return acc
+        return _horner(self.coeffs[::-1, ::-1].tolist(), x, y)
 
     def deriv(self, nx: int = 0, ny: int = 0) -> "Poly2":
         return Poly2(_deriv_table(self.coeffs, (nx, ny)))
@@ -106,15 +104,8 @@ class PolyTXY:
         return PolyTXY(_deriv_table(self.coeffs, d))
 
     def __call__(self, t, x, y):
-        """Value at a point of floats, or broadcast over coordinate arrays.
-
-        The batch axes of an array query sit in the ellipsis, so a float
-        query contracts exactly as ``einsum("ijk,i,j,k->")``.
-        """
-        powers = [(v[..., None] if isinstance(v, np.ndarray) else v) ** e
-                  for v, e in zip((t, x, y), _exponents(self.coeffs.shape))]
-        value = np.einsum("ijk,...i,...j,...k->...", self.coeffs, *powers)
-        return value if value.ndim else float(value)
+        """Value at a point of floats, or broadcast over coordinate arrays."""
+        return _horner(self.coeffs[::-1, ::-1, ::-1].tolist(), t, x, y)
 
 
 def harmonic_basis(degree: int) -> list[Poly2]:

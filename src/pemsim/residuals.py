@@ -46,11 +46,14 @@ RING_EQUATIONS = ("continuity", "momentum", "density", "porosity")
 
 @dataclass(frozen=True)
 class ResidualVector:
-    """Per-equation residual values at a query point."""
+    """Per-equation residual values at a query point, or arrays over points.
 
-    values: dict[str, float]
+    ``max_abs`` reduces over equations and points.
+    """
 
-    def __getitem__(self, equation: str) -> float:
+    values: dict[str, float | np.ndarray]
+
+    def __getitem__(self, equation: str) -> float | np.ndarray:
         return self.values[equation]
 
     @property
@@ -58,7 +61,9 @@ class ResidualVector:
         return tuple(self.values)
 
     def max_abs(self) -> float:
-        return max(abs(v) for v in self.values.values())
+        # Floats stay in plain Python: most callers take one point at a time.
+        return max(abs(v) if isinstance(v, float) else float(np.max(np.abs(v)))
+                   for v in self.values.values())
 
 
 def _elastic_force(E: AnisotropicModuli, u1_xx, u1_yy, u1_xy,
@@ -91,7 +96,9 @@ def residual_cartesian_aniso(field: FieldSource, moduli: AnisotropicModuli,
                              params: ModelParams, point) -> ResidualVector:
     """Residuals of the six-equation Cartesian system at a point.
 
-    The momentum pair carries the elastic force of the stiffness matrix
+    ``point`` is (t, x, y) of floats, or of arrays (n stacked points, say);
+    the operator is elementwise, so each residual then equals the float
+    query at its point bit for bit.  The momentum pair carries the elastic force of the stiffness matrix
     ``moduli``; the volume-balance residual is doubled relative to the
     halved-conductivity form.  Effective pressure p - sigma1*c is
     substituted internally, so the field only supplies the primitive

@@ -178,8 +178,8 @@ class GroupElement:
         c, s = _trig(self.parameter)
         return np.array([[c, -s], [s, c]])
 
-    def map_point(self, point) -> tuple[float, float, float]:
-        """Image of a (t, x, y) point under the coordinate part of the group."""
+    def map_point(self, point) -> tuple:
+        """Image of a (t, x, y) point, of floats or arrays, under the group."""
         t, x, y = point
         if self.kind == "time-translation":
             return (t + self.parameter, x, y)
@@ -196,8 +196,7 @@ class GroupElement:
 class TransformedFieldSource:
     """Lazy action of a group element on an underlying field source.
 
-    Coordinate arrays pass through to the base source for every kind, so a
-    transformed field answers at arrays whatever its base answers there.
+    Coordinate arrays pass through to the base source for every kind.
     """
 
     ndim = 3
@@ -397,47 +396,50 @@ def check_invariance(element: GroupElement, field: FieldSource,
     relative to the largest residual magnitude seen (absolute for exact
     solutions).
 
+    The points go in one residual call per side, as coordinate arrays; the
+    operator is elementwise and the norms are maxima, so the report equals
+    a loop over single points bit for bit.  ``points`` must be non-empty
+    and ``rtol`` in [0, inf).
+
     ``moduli`` defaults to the isotropic embedding of ``params``.  When the
     caller supplies moduli, the rotation is excluded, since it is a
     symmetry of the isotropic material only.
     """
-    if points is None:
-        points = DEFAULT_SAMPLE_POINTS
+    coords = np.array(DEFAULT_SAMPLE_POINTS if points is None else points,
+                      dtype=float)
+    if coords.ndim != 2 or coords.size == 0:
+        raise ValueError("points must be a non-empty sequence of (t, x, y)")
+    if not 0.0 <= rtol < math.inf:
+        raise ValueError(f"rtol must lie in [0, inf), got {rtol}")
     if moduli is None:
         moduli = AnisotropicModuli.isotropic(params.lam, params.mu)
     elif element.kind == "rotation":
         raise ValueError("rotation invariance holds only for isotropic moduli")
-    transformed = apply_group(element, field)
-    scale_factor = math.exp(element.parameter)
-    A = element.rotation_matrix() if element.kind == "rotation" else None
+    point = tuple(coords.T.copy())
+    pre = residual_cartesian_aniso(field, moduli, params, point)
+    post = residual_cartesian_aniso(apply_group(element, field), moduli, params,
+                                    element.map_point(point))
+    expected = dict(pre.values)
+    if element.kind == "concentration-scaling":
+        expected["solute"] = math.exp(element.parameter) * expected["solute"]
+    elif element.kind == "rotation":
+        # One 2x2 product per point: a batched product may round differently.
+        A = element.rotation_matrix()
+        m1, m2 = np.broadcast_arrays(expected["momentum1"],
+                                     expected["momentum2"], point[0])[:2]
+        m = np.array([A @ np.array(v) for v in zip(m1.tolist(), m2.tolist())])
+        expected["momentum1"], expected["momentum2"] = m[:, 0], m[:, 1]
 
-    pre_norm = {eq: 0.0 for eq in CARTESIAN_EQUATIONS}
-    post_norm = {eq: 0.0 for eq in CARTESIAN_EQUATIONS}
-    diff = {eq: 0.0 for eq in CARTESIAN_EQUATIONS}
-    for point in points:
-        pre = residual_cartesian_aniso(field, moduli, params, point)
-        post = residual_cartesian_aniso(transformed, moduli, params,
-                                        element.map_point(point))
-        expected = dict(pre.values)
-        if element.kind == "concentration-scaling":
-            expected["solute"] = scale_factor * expected["solute"]
-        elif element.kind == "rotation":
-            m = A @ np.array([expected["momentum1"], expected["momentum2"]])
-            expected["momentum1"], expected["momentum2"] = float(m[0]), float(m[1])
-        for eq in CARTESIAN_EQUATIONS:
-            pre_norm[eq] = max(pre_norm[eq], abs(pre[eq]))
-            post_norm[eq] = max(post_norm[eq], abs(post[eq]))
-            diff[eq] = max(diff[eq], abs(post[eq] - expected[eq]))
-
-    overall = max(1.0, *pre_norm.values(), *post_norm.values())
-    rows = []
-    for eq in CARTESIAN_EQUATIONS:
-        tol = rtol * overall
-        rows.append(InvarianceRow(equation=eq, pre_norm=pre_norm[eq],
-                                  post_norm=post_norm[eq], max_diff=diff[eq],
-                                  tol=tol, passed=diff[eq] <= tol))
+    pre_norm, post_norm, diff = (
+        {eq: float(np.max(np.abs(v[eq]))) for eq in CARTESIAN_EQUATIONS}
+        for v in (pre, post, {eq: post[eq] - expected[eq] for eq in expected}))
+    tol = rtol * max(1.0, *pre_norm.values(), *post_norm.values())
+    rows = tuple(InvarianceRow(equation=eq, pre_norm=pre_norm[eq],
+                               post_norm=post_norm[eq], max_diff=diff[eq],
+                               tol=tol, passed=diff[eq] <= tol)
+                 for eq in CARTESIAN_EQUATIONS)
     return InvarianceReport(kind=element.kind, parameter=element.parameter,
-                            rows=tuple(rows), passed=all(r.passed for r in rows))
+                            rows=rows, passed=all(r.passed for r in rows))
 
 
 def cartesian_to_polar(u1: float, u2: float, phi: float) -> tuple[float, float]:

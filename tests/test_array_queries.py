@@ -1,14 +1,12 @@
-"""Array queries: whole-grid sampling equals one float query per node.
+"""Array queries: one query at coordinate arrays equals a float query per node.
 
 ``sample_grid`` and ``polar_samples_from_cartesian`` query each component
-once, at the coordinate arrays of an open mesh.  The reference here is the
-per-node loop they used to run: every sampled array must equal it exactly.
-
-One rounding difference is known and bounded instead.  A float query of a
-polynomial contracts its table with numpy's ``einsum``, which groups the
-sum differently from the batched contraction for some tables whose shape
-holds both a 1 and a 2, such as (1, 2, 2).  Those tables are compared to
-within the rounding bound of the two sums, set from the dtype.
+once, at the coordinate arrays of an open mesh, and ``check_invariance``
+takes one residual call per side at the stacked points.  The reference
+here is the per-node or per-point loop they used to run: every value must
+equal it exactly.  That holds for every polynomial table shape, since a
+polynomial runs the same Horner steps on floats and on arrays, and for
+value and derivative queries of every source family.
 """
 
 import math
@@ -18,20 +16,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from pemsim.core import ModelParams
+from pemsim.core import AnisotropicModuli, ModelParams
 from pemsim.fields import (CARTESIAN_COMPONENTS, DerivativeUnavailableError,
                            GridFieldSource, ProfileSource,
                            random_polynomial_field, sample_grid)
-from pemsim.polynomials import PolyTXY, random_harmonic
+from pemsim.polynomials import random_harmonic
+from pemsim.residuals import CARTESIAN_EQUATIONS, residual_cartesian_aniso
 from pemsim.stationary import neumann_solution, rst_cubic
 from pemsim.symmetry import (KINDS, GroupElement, HarmonicPotentialPair,
-                             TimeFunction, _trig, apply_group,
-                             cartesian_to_polar,
-                             generate_displacement_symmetry,
+                             InvarianceReport, InvarianceRow, TimeFunction,
+                             _trig, apply_group, cartesian_to_polar,
+                             check_invariance, generate_displacement_symmetry,
                              polar_samples_from_cartesian)
 
 PARAMS = ModelParams.reference(F0=16 * math.pi)
-EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
 
 seeds = hst.integers(0, 2**32 - 1)
@@ -112,19 +110,8 @@ class TestPolynomialSampling:
                                               n, m):
         field = polynomial_field(seed, degree, time_degree)
         axes = grid_axes(n, m)
-        grid = sample_grid(field, axes, CARTESIAN_COMPONENTS)
-        reference = per_node(field, axes, CARTESIAN_COMPONENTS)
-        shape = (time_degree + 1, degree + 1, degree + 1)
-        if not (1 in shape and 2 in shape):
-            assert_equal_samples(grid, reference)
-            return
-        # Two summation orders of the same n terms differ by at most
-        # 2 n eps times the sum of the terms' magnitudes.
-        mesh = [np.abs(v) for v in np.meshgrid(*axes, indexing="ij", sparse=True)]
-        for name in CARTESIAN_COMPONENTS:
-            coeffs = np.abs(field.components[name].coeffs)
-            bound = 2 * coeffs.size * EPS * PolyTXY(coeffs)(*mesh)
-            assert np.all(np.abs(grid.data[name] - reference[name]) <= bound), name
+        assert_equal_samples(sample_grid(field, axes, CARTESIAN_COMPONENTS),
+                             per_node(field, axes, CARTESIAN_COMPONENTS))
 
     def test_derivative_queries_broadcast(self):
         field = polynomial_field(5, 3, 2)
@@ -135,15 +122,13 @@ class TestPolynomialSampling:
             for idx in np.ndindex(got.shape):
                 exact = field.eval("p", (t[idx[0], 0, 0], x[0, idx[1], 0],
                                          y[0, 0, idx[2]]), d)
-                assert got[idx] == pytest.approx(exact, rel=8 * EPS, abs=8 * EPS)
+                assert got[idx] == exact, (d, idx)
 
 
 class TestTransformedSampling:
-    # The polynomial fields of the oracle and the acceptance tests: their
-    # tables round alike in float and array queries (see the module note).
     @pytest.mark.parametrize("kind", KINDS)
     @PROPERTY
-    @given(seed=seeds, degree=hst.integers(2, 3), time_degree=hst.integers(1, 2),
+    @given(seed=seeds, degree=hst.integers(0, 3), time_degree=hst.integers(0, 2),
            n=sizes, m=sizes)
     def test_every_kind_over_polynomial_field(self, kind, seed, degree,
                                               time_degree, n, m):
@@ -255,14 +240,173 @@ class TestArrayQueryErrors:
         with pytest.raises(DerivativeUnavailableError):
             sample_grid(shifted, axes, ("u1",))
 
-    def test_grid_derivative_at_arrays_raises(self):
-        grid, (ts, xs, ys) = self.grid()
-        with pytest.raises(DerivativeUnavailableError):
-            grid.eval("u1", (ts[0], xs, ys[1]), (0, 1, 0))
-
     def test_scalar_component_broadcasts(self):
         ts, xs, ys = grid_axes(4, 3)
         grid = GridFieldSource([ts, xs, ys], {"c": 2.5})
         resampled = sample_grid(grid, [ts, xs, ys], ("c",))
         assert resampled.data["c"].shape == (3, 4, 3)
         assert np.all(resampled.data["c"] == 2.5)
+
+
+# Every derivative multi-index the residual operators ask of a Cartesian
+# source: time order up to 2, total space order up to 2.
+CARTESIAN_DERIVATIVES = tuple((nt, nx, ny) for nt in range(3) for nx in range(3)
+                              for ny in range(3 - nx))
+
+
+def assert_equal_queries(source, component, point, d):
+    """An array query equals the float query at each of its nodes."""
+    nodes = np.broadcast_arrays(*point)
+    got = np.broadcast_to(source.eval(component, point, d), nodes[0].shape)
+    for idx in np.ndindex(got.shape):
+        exact = source.eval(component, [float(v[idx]) for v in nodes], d)
+        assert got[idx] == exact, (component, d, idx)
+
+
+class TestDerivativeQueries:
+    def test_grid_source(self):
+        # Edge nodes too: their one-sided stencils run node by node as well.
+        axes = (0.1 + 0.25 * np.arange(5), -1.2 + 0.3 * np.arange(6),
+                -0.9 + 0.3 * np.arange(5))
+        grid = sample_grid(polynomial_field(3, 2, 1), axes, CARTESIAN_COMPONENTS)
+        ts, xs, ys = axes
+        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+        for d in CARTESIAN_DERIVATIVES:
+            for point in (mesh, (ts[0], xs, ys[1]), (ts, xs[:0:-1], ys)):
+                assert_equal_queries(grid, "u1", point, d)
+        x = xs.copy()
+        x[3] += 0.01
+        with pytest.raises(DerivativeUnavailableError, match="axis 1"):
+            grid.eval("u1", (ts[1], x, ys[2]), (0, 1, 0))
+
+    @PROPERTY
+    @given(n=sizes, m=sizes, x0=hst.floats(-1.8, 0.5), y0=hst.floats(1.05, 1.5))
+    def test_radial_cartesian_source(self, n, m, x0, y0):
+        source = TestProfileSampling.stationary().as_cartesian_source(
+            rho=1.1, thetaF=0.4)
+        point = (0.3, np.linspace(x0, x0 + 1.2, n)[:, None],
+                 np.linspace(y0, y0 + 0.4, m)[None, :])
+        for name in CARTESIAN_COMPONENTS:
+            for d in CARTESIAN_DERIVATIVES:
+                assert_equal_queries(source, name, point, d)
+
+    @PROPERTY
+    @given(n=sizes, m=sizes, r0=hst.floats(1.05, 1.3), phi0=hst.floats(-3.0, 3.0))
+    def test_profile_source(self, n, m, r0, phi0):
+        solution = TestProfileSampling.stationary()
+        rs = np.linspace(r0, r0 + 0.4, n)
+        polar = solution.as_polar_source(rho=1.1, theta=0.4)
+        point = (0.2, rs[:, None], np.linspace(phi0, phi0 + 1.0, m)[None, :])
+        for name in ("w1", "w2", "P", "rho", "theta", "C"):
+            for d in CARTESIAN_DERIVATIVES:
+                assert_equal_queries(polar, name, point, d)
+        ring = solution.as_ring_source()
+        for name in ("w", "P", "rho", "theta"):
+            for d in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)):
+                assert_equal_queries(ring, name, (0.5 * np.arange(3)[:, None],
+                                                  rs[None, :]), d)
+
+
+def per_point_invariance(element, field, params, points, moduli=None,
+                         rtol=1e-12):
+    """The per-point loop ``check_invariance`` once ran."""
+    if moduli is None:
+        moduli = AnisotropicModuli.isotropic(params.lam, params.mu)
+    transformed = apply_group(element, field)
+    scale_factor = math.exp(element.parameter)
+    A = element.rotation_matrix() if element.kind == "rotation" else None
+    pre_norm = dict.fromkeys(CARTESIAN_EQUATIONS, 0.0)
+    post_norm = dict.fromkeys(CARTESIAN_EQUATIONS, 0.0)
+    diff = dict.fromkeys(CARTESIAN_EQUATIONS, 0.0)
+    for point in points:
+        pre = residual_cartesian_aniso(field, moduli, params, point)
+        post = residual_cartesian_aniso(transformed, moduli, params,
+                                        element.map_point(point))
+        expected = dict(pre.values)
+        if element.kind == "concentration-scaling":
+            expected["solute"] = scale_factor * expected["solute"]
+        elif element.kind == "rotation":
+            m = A @ np.array([expected["momentum1"], expected["momentum2"]])
+            expected["momentum1"], expected["momentum2"] = float(m[0]), float(m[1])
+        for eq in CARTESIAN_EQUATIONS:
+            pre_norm[eq] = max(pre_norm[eq], abs(pre[eq]))
+            post_norm[eq] = max(post_norm[eq], abs(post[eq]))
+            diff[eq] = max(diff[eq], abs(post[eq] - expected[eq]))
+    tol = rtol * max(1.0, *pre_norm.values(), *post_norm.values())
+    rows = tuple(InvarianceRow(eq, pre_norm[eq], post_norm[eq], diff[eq], tol,
+                               diff[eq] <= tol) for eq in CARTESIAN_EQUATIONS)
+    return InvarianceReport(element.kind, element.parameter, rows,
+                            all(row.passed for row in rows))
+
+
+def invariance_element(kind, seed):
+    if kind == "quarter-turn":
+        return GroupElement.rotation(0.5 * math.pi)
+    return element(kind, seed)
+
+
+ANISOTROPIC = AnisotropicModuli(e11=3.0, e22=2.0, e33=1.0, e12=0.7, e13=0.4,
+                                e23=0.2)
+
+
+class TestBatchedInvariance:
+    # "rotation" turns by 0.7 rad; "quarter-turn" snaps to exact trig values.
+    @pytest.mark.parametrize("kind", KINDS + ("quarter-turn",))
+    @PROPERTY
+    @given(seed=seeds, degree=hst.integers(0, 3), time_degree=hst.integers(0, 2),
+           n_points=hst.integers(1, 12))
+    def test_polynomial_field(self, kind, seed, degree, time_degree, n_points):
+        field = polynomial_field(seed, degree, time_degree)
+        el = invariance_element(kind, seed)
+        rng = np.random.default_rng(seed)
+        points = tuple(zip(rng.uniform(0.0, 1.0, n_points),
+                           *rng.uniform(-1.5, 1.5, (2, n_points))))
+        assert (check_invariance(el, field, PARAMS, points=points)
+                == per_point_invariance(el, field, PARAMS, points))
+        if el.kind != "rotation":
+            assert (check_invariance(el, field, PARAMS, points=points,
+                                     moduli=ANISOTROPIC)
+                    == per_point_invariance(el, field, PARAMS, points,
+                                            moduli=ANISOTROPIC))
+        stacked = tuple(np.array(v) for v in zip(*points))
+        assert (residual_cartesian_aniso(field, ANISOTROPIC, PARAMS,
+                                         stacked).max_abs()
+                == max(residual_cartesian_aniso(field, ANISOTROPIC, PARAMS,
+                                                p).max_abs() for p in points))
+
+    @pytest.mark.parametrize("kind", KINDS + ("quarter-turn",))
+    @PROPERTY
+    @given(seed=seeds, n_points=hst.integers(1, 12))
+    def test_stationary_embedding(self, kind, seed, n_points):
+        field = TestProfileSampling.stationary().as_cartesian_source(
+            rho=1.0, thetaF=0.5)
+        el = invariance_element(kind, seed)
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(PARAMS.r0 + 0.05, rst_cubic(PARAMS).r_st - 0.05, n_points)
+        a = rng.uniform(-math.pi, math.pi, n_points)
+        points = tuple(zip(np.full(n_points, 0.4), r * np.cos(a), r * np.sin(a)))
+        assert (check_invariance(el, field, PARAMS, points=points)
+                == per_point_invariance(el, field, PARAMS, points))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @PROPERTY
+    @given(seed=seeds, shift=hst.integers(-2, 2), quarter=hst.integers(0, 3),
+           n_points=hst.integers(1, 8))
+    def test_grid_field(self, kind, seed, shift, quarter, n_points):
+        # Whole-step translations and quarter turns map the inner nodes of
+        # a square grid centred on 0 onto nodes; the other kinds fix points.
+        h = 0.25
+        ts = 0.2 * np.arange(7)
+        xs = h * np.arange(-5, 6)
+        grid = sample_grid(polynomial_field(seed, 2, 1), [ts, xs, xs],
+                           CARTESIAN_COMPONENTS)
+        el = {"time-translation": GroupElement.time_translation(0.2 * shift),
+              "x-translation": GroupElement.x_translation(h * shift),
+              "y-translation": GroupElement.y_translation(h * shift),
+              "rotation": GroupElement.rotation(0.5 * math.pi * quarter)
+              }.get(kind) or element(kind, seed)
+        rng = np.random.default_rng(seed)
+        points = tuple(zip(rng.choice(ts[2:5], n_points),
+                           *rng.choice(xs[2:-2], (2, n_points))))
+        assert (check_invariance(el, grid, PARAMS, points=points)
+                == per_point_invariance(el, grid, PARAMS, points))

@@ -47,13 +47,14 @@ def test_invariance_check_reaches_traced_residual_operator():
     tracer.install()
     try:
         symmetry.check_invariance(element, field, ModelParams.reference(),
-                                  points=symmetry.DEFAULT_SAMPLE_POINTS[:2])
+                                  points=symmetry.DEFAULT_SAMPLE_POINTS)
     finally:
         tracer.uninstall()
+    # One residual call per side over all ten points, not one per point.
     counts = tracer.counts()
     assert counts["check_invariance"] == 1
-    assert counts["residual_cartesian.poly"] == 2
-    assert counts["residual_cartesian.transformed"] == 2
+    assert counts["residual_cartesian.poly"] == 1
+    assert counts["residual_cartesian.transformed"] == 1
 
 
 def test_sample_grid_queries_each_component_once():

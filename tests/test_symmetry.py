@@ -269,6 +269,27 @@ class TestCheckInvariance:
             check_invariance(GroupElement.rotation(0.5 * math.pi), field,
                              PARAMS, moduli=moduli)
 
+    def test_empty_points_rejected(self):
+        # A check over no points would pass with every norm 0.
+        field = random_polynomial_field(np.random.default_rng(73))
+        el = GroupElement.x_translation(0.3)
+        for points in ((), []):
+            with pytest.raises(ValueError, match="points"):
+                check_invariance(el, field, PARAMS, points=points)
+
+    @pytest.mark.parametrize("rtol", (-1e-12, math.nan, math.inf))
+    def test_rtol_outside_range_rejected(self, rtol):
+        field = random_polynomial_field(np.random.default_rng(79))
+        with pytest.raises(ValueError, match="rtol"):
+            check_invariance(GroupElement.x_translation(0.3), field, PARAMS,
+                             rtol=rtol)
+
+    def test_zero_rtol_accepted(self):
+        field = random_polynomial_field(np.random.default_rng(83))
+        report = check_invariance(GroupElement.time_translation(0.0), field,
+                                  PARAMS, rtol=0.0)
+        assert all(row.tol == 0.0 for row in report.rows)
+
 
 class TestGridBackedInvariance:
     def grid_axes(self, n=25, half=1.5):
