@@ -12,7 +12,7 @@ Library layout:
 """
 
 from .core import (AnisotropicModuli, ModelParams, ParameterError, lame_star,
-                   mixture_fields, validate_params)
+                   mixture_fields)
 from .residuals import (FluxBundle, ResidualVector, fluxes,
                         residual_cartesian_aniso, residual_cartesian_iso,
                         residual_radial_full, residual_ring,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnisotropicModuli", "ModelParams", "ParameterError", "lame_star",
-    "mixture_fields", "validate_params",
+    "mixture_fields",
     "FluxBundle", "ResidualVector", "fluxes", "residual_cartesian_aniso",
     "residual_cartesian_iso", "residual_radial_full", "residual_ring",
     "terzaghi_stress_radial",

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Mapping
 
 __all__ = [
     "ParameterError",
     "ModelParams",
     "AnisotropicModuli",
-    "validate_params",
     "lame_star",
     "mixture_fields",
 ]
@@ -87,9 +85,10 @@ class ModelParams:
             violations.append(f"r0 must be > 0 (got {self.r0})")
         if not self.r0 < self.R0:
             violations.append(f"r0 < R0 required (got r0={self.r0}, R0={self.R0})")
-        for name in ("sigma1", "p_a", "p_st", "F0"):
-            if not math.isfinite(getattr(self, name)):
-                violations.append(f"{name} must be finite (got {getattr(self, name)})")
+        for field in dataclass_fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                violations.append(f"{field.name} must be finite (got {value})")
         if violations:
             raise ParameterError(violations)
 
@@ -102,25 +101,6 @@ class ModelParams:
         )
         base.update(overrides)
         return cls(**base)
-
-
-def validate_params(raw: "ModelParams | Mapping[str, float]") -> ModelParams:
-    """Return a validated ModelParams, collecting every violated restriction.
-
-    Accepts either an existing instance (idempotent: returned unchanged) or
-    a mapping of field name to value.  Raises ParameterError naming all
-    violations at once.
-    """
-    if isinstance(raw, ModelParams):
-        return raw
-    known = {f.name for f in dataclass_fields(ModelParams)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ParameterError([f"unknown parameter '{name}'" for name in unknown])
-    missing = sorted(known - set(raw))
-    if missing:
-        raise ParameterError([f"missing parameter '{name}'" for name in missing])
-    return ModelParams(**{name: float(raw[name]) for name in known})
 
 
 def lame_star(params: ModelParams) -> float:
@@ -160,24 +140,6 @@ class AnisotropicModuli:
         """Embed isotropic Lame coefficients into the stiffness matrix."""
         return cls(e11=lam + 2.0 * mu, e22=lam + 2.0 * mu, e33=mu,
                    e12=lam, e13=0.0, e23=0.0)
-
-    def to_lame(self) -> tuple[float, float]:
-        """Read back (lam, mu) from an isotropically embedded matrix.
-
-        Exact inverse of :meth:`isotropic`; raises if the matrix is not an
-        isotropic embedding.
-        """
-        if not self.is_isotropic():
-            raise ValueError("moduli are not an isotropic embedding")
-        return self.e12, self.e33
-
-    def is_isotropic(self) -> bool:
-        return (
-            self.e13 == 0.0
-            and self.e23 == 0.0
-            and self.e11 == self.e22
-            and self.e11 == self.e12 + 2.0 * self.e33
-        )
 
 
 def mixture_fields(thetaF: float, rho: float, params: ModelParams) -> tuple[float, float]:

@@ -295,19 +295,19 @@ class ProfileSource:
 class RadialCartesianSource:
     """Cartesian embedding of a radially symmetric stationary state.
 
-    Displacement is u = w(r) * (x/r, y/r), pressure p = P(r); density,
-    porosity and concentration are constants (concentration defaults to
-    zero).  All first and second space derivatives are exact via the chain
-    rule; every time derivative vanishes.
+    Displacement is u = w(r) * (x/r, y/r), pressure p = P(r); density and
+    porosity are constants and the concentration is zero.  All first and
+    second space derivatives are exact via the chain rule; every time
+    derivative vanishes.
     """
 
     ndim = 3
 
     def __init__(self, w: _Profile, P: _Profile,
-                 rho: float = 1.0, thetaF: float = 0.5, c: float = 0.0) -> None:
+                 rho: float = 1.0, thetaF: float = 0.5) -> None:
         self._w = w
         self._P = P
-        self._const = {"rho": float(rho), "thetaF": float(thetaF), "c": float(c)}
+        self._const = {"rho": float(rho), "thetaF": float(thetaF), "c": 0.0}
 
     def eval(self, component: str, point: Sequence[float],
              d: Sequence[int] | None = None) -> float:

@@ -173,6 +173,8 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
         raise NoRootError(f"no sign change on [{lo}, {hi}]")
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: no further halving can move the bracket
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -203,10 +205,13 @@ class RstReport:
 def _cubic_coefficients(params: ModelParams) -> tuple[float, float, float, float]:
     lm = params.lam + params.mu
     load = params.F0 / (4.0 * math.pi)
+    # Powers as products: a float ``**`` raises OverflowError, a product
+    # overflows to inf.
+    r0_sq = params.r0 * params.r0
     return (lm,
             load - lm * params.R0,
-            params.mu * params.r0**2,
-            -(load + params.mu * params.R0) * params.r0**2)
+            params.mu * r0_sq,
+            -(load + params.mu * params.R0) * r0_sq)
 
 
 def rst_cubic(params: ModelParams) -> RstReport:
@@ -221,7 +226,8 @@ def rst_cubic(params: ModelParams) -> RstReport:
         raise ValueError("the shrink-radius analysis requires F0 >= 0")
     a3, a2, a1, a0 = coeffs = _cubic_coefficients(params)
     r0, R0 = params.r0, params.R0
-    scale = max(abs(a3) * R0**3, abs(a2) * R0**2, abs(a1) * R0, abs(a0), 1e-300)
+    scale = max(abs(a3) * R0 * R0 * R0, abs(a2) * R0 * R0, abs(a1) * R0,
+                abs(a0), 1e-300)
 
     def cubic(r: float) -> float:
         return ((a3 * r + a2) * r + a1) * r + a0

@@ -19,8 +19,8 @@ the potentials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .residuals import residual_cartesian_iso  # noqa: F401
 
 __all__ = [
     "TimeFunction",
-    "PlaneFunction",
     "HarmonicPotentialPair",
     "GroupElement",
     "TransformedFieldSource",
@@ -51,17 +50,6 @@ __all__ = [
     "polar_samples_from_cartesian",
     "DEFAULT_SAMPLE_POINTS",
 ]
-
-
-class PlaneFunction(Protocol):
-    """A twice-differentiable function of the plane coordinates.
-
-    ``eval_deriv`` takes floats, or coordinate arrays that it broadcasts
-    (array queries on a displacement-shifted field pass them through).
-    """
-
-    def eval_deriv(self, x: float, y: float, nx: int = 0, ny: int = 0) -> float:
-        ...
 
 
 @dataclass(frozen=True)
@@ -108,12 +96,14 @@ KINDS = ("time-translation", "x-translation", "y-translation", "rotation",
 
 def _trig(phi: float) -> tuple[float, float]:
     # Quarter turns snap to exact values so grid points map to grid points.
-    quarter = phi / (0.5 * math.pi)
+    # The sine stays odd down to the sign of zero: _trig(-phi) is (c, -s)
+    # exactly, like cos and sin, so an inverse rotation is exact too.
+    quarter = abs(phi) / (0.5 * math.pi)
     nearest = round(quarter)
     if abs(quarter - nearest) < 1e-12:
         c = (1.0, 0.0, -1.0, 0.0)[nearest % 4]
         s = (0.0, 1.0, 0.0, -1.0)[nearest % 4]
-        return c, s
+        return c, math.copysign(1.0, phi) * s
     return math.cos(phi), math.sin(phi)
 
 
@@ -132,7 +122,7 @@ class GroupElement:
     kind: str
     parameter: float
     g: TimeFunction | None = None
-    G: tuple[PlaneFunction, PlaneFunction] | None = None
+    G: tuple[Poly2, Poly2] | None = None
     sigma1: float | None = None
 
     def __post_init__(self) -> None:
@@ -170,8 +160,7 @@ class GroupElement:
         return cls("pressure-shift", eps, g=g)
 
     @classmethod
-    def displacement_shift(cls, eps: float, G1: PlaneFunction,
-                           G2: PlaneFunction) -> "GroupElement":
+    def displacement_shift(cls, eps: float, G1: Poly2, G2: Poly2) -> "GroupElement":
         return cls("displacement-shift", eps, G=(G1, G2))
 
     def rotation_matrix(self) -> np.ndarray:
@@ -196,7 +185,10 @@ class GroupElement:
 class TransformedFieldSource:
     """Lazy action of a group element on an underlying field source.
 
-    Coordinate arrays pass through to the base source for every kind.
+    The base is queried once per value at the pre-image of the point, the
+    image under the inverse element (the same kind with its parameter
+    negated); only the action on the values differs by kind.  Coordinate
+    arrays pass through to the base source for every kind.
     """
 
     ndim = 3
@@ -204,65 +196,54 @@ class TransformedFieldSource:
     def __init__(self, element: GroupElement, base: FieldSource) -> None:
         self.element = element
         self.base = base
+        self._inverse = replace(element, parameter=-element.parameter)
 
     def eval(self, component: str, point: Sequence[float | np.ndarray],
              d: Sequence[int] | None = None) -> float | np.ndarray:
-        (t, x, y), (nt, nx, ny) = _split_query(point, d, self.ndim)
+        point, d = _split_query(point, d, self.ndim)
         el = self.element
         eps = el.parameter
-        kind = el.kind
-        if kind == "time-translation":
-            return self.base.eval(component, (t - eps, x, y), (nt, nx, ny))
-        if kind == "x-translation":
-            return self.base.eval(component, (t, x - eps, y), (nt, nx, ny))
-        if kind == "y-translation":
-            return self.base.eval(component, (t, x, y - eps), (nt, nx, ny))
-        if kind == "pressure-shift":
-            val = self.base.eval(component, (t, x, y), (nt, nx, ny))
-            if component == "p" and nx == 0 and ny == 0:
-                val = val + eps * el.g.deriv(t, nt)
-            return val
-        if kind == "displacement-shift":
-            val = self.base.eval(component, (t, x, y), (nt, nx, ny))
-            if nt == 0 and component in ("u1", "u2"):
-                G = el.G[0] if component == "u1" else el.G[1]
-                val = val + eps * G.eval_deriv(x, y, nx, ny)
-            return val
-        if kind == "concentration-scaling":
+        pre = self._inverse.map_point(point)
+        if el.kind == "rotation":
+            c, s = _trig(eps)
+            if component in ("u1", "u2"):
+                d1 = self._rotated_scalar("u1", pre, d, c, s)
+                d2 = self._rotated_scalar("u2", pre, d, c, s)
+                return c * d1 - s * d2 if component == "u1" else s * d1 + c * d2
+            return self._rotated_scalar(component, pre, d, c, s)
+        val = self.base.eval(component, pre, d)
+        t, x, y = point
+        nt, nx, ny = d
+        if el.kind == "pressure-shift" and component == "p" and nx == ny == 0:
+            return val + eps * el.g.deriv(t, nt)
+        if (el.kind == "displacement-shift" and nt == 0
+                and component in ("u1", "u2")):
+            G = el.G[0] if component == "u1" else el.G[1]
+            return val + eps * G.eval_deriv(x, y, nx, ny)
+        if el.kind == "concentration-scaling":
             if component == "c":
-                return math.exp(eps) * self.base.eval("c", (t, x, y), (nt, nx, ny))
+                return math.exp(eps) * val
             if component == "p":
                 # Effective pressure is held fixed under the scaling.
-                return (self.base.eval("p", (t, x, y), (nt, nx, ny))
-                        + el.sigma1 * (math.exp(eps) - 1.0)
-                        * self.base.eval("c", (t, x, y), (nt, nx, ny)))
-            return self.base.eval(component, (t, x, y), (nt, nx, ny))
-        # rotation
-        c, s = _trig(eps)
-        px = c * x + s * y   # pre-image coordinates
-        py = -s * x + c * y
-        if component in ("u1", "u2"):
-            d1 = self._rotated_scalar("u1", t, px, py, nt, nx, ny, c, s)
-            d2 = self._rotated_scalar("u2", t, px, py, nt, nx, ny, c, s)
-            return c * d1 - s * d2 if component == "u1" else s * d1 + c * d2
-        return self._rotated_scalar(component, t, px, py, nt, nx, ny, c, s)
+                return (val + el.sigma1 * (math.exp(eps) - 1.0)
+                        * self.base.eval("c", pre, d))
+        return val
 
-    def _rotated_scalar(self, component: str, t, px, py,
-                        nt: int, nx: int, ny: int, c: float, s: float):
+    def _rotated_scalar(self, component: str, pre, d, c: float, s: float):
         """Derivative of a rotated scalar via gradient/Hessian transform."""
         base = self.base
-        p = (t, px, py)
+        nt, nx, ny = d
         if nx + ny == 0:
-            return base.eval(component, p, (nt, 0, 0))
+            return base.eval(component, pre, (nt, 0, 0))
         if nx + ny == 1:
-            fx = base.eval(component, p, (nt, 1, 0))
-            fy = base.eval(component, p, (nt, 0, 1))
+            fx = base.eval(component, pre, (nt, 1, 0))
+            fy = base.eval(component, pre, (nt, 0, 1))
             return c * fx - s * fy if nx == 1 else s * fx + c * fy
         if nx + ny > 2:
             raise ValueError("space order above 2 not supported for rotations")
-        fxx = base.eval(component, p, (nt, 2, 0))
-        fyy = base.eval(component, p, (nt, 0, 2))
-        fxy = base.eval(component, p, (nt, 1, 1))
+        fxx = base.eval(component, pre, (nt, 2, 0))
+        fyy = base.eval(component, pre, (nt, 0, 2))
+        fxy = base.eval(component, pre, (nt, 1, 1))
         if (nx, ny) == (2, 0):
             return c * c * fxx - 2.0 * c * s * fxy + s * s * fyy
         if (nx, ny) == (0, 2):
@@ -289,13 +270,13 @@ def generate_displacement_symmetry(potentials: HarmonicPotentialPair
     return G1, G2
 
 
-def displacement_symmetry_residual(G1: PlaneFunction, G2: PlaneFunction,
-                                   moduli: AnisotropicModuli,
+def displacement_symmetry_residual(G1: Poly2, G2: Poly2, moduli: AnisotropicModuli,
                                    x: float, y: float) -> tuple[float, float]:
     """Residual pair of the displacement-generator system at one point.
 
     The system is the elastostatic part of the momentum equations: the
-    elastic force of (G1, G2) under ``moduli`` must vanish.
+    elastic force of (G1, G2) under ``moduli`` must vanish.  Coordinate
+    arrays give the pair elementwise.
     """
     return _elastic_force(moduli, G1.eval_deriv(x, y, 2, 0),
                           G1.eval_deriv(x, y, 0, 2), G1.eval_deriv(x, y, 1, 1),
@@ -303,24 +284,20 @@ def displacement_symmetry_residual(G1: PlaneFunction, G2: PlaneFunction,
                           G2.eval_deriv(x, y, 1, 1))
 
 
-_PLANE_POINTS = tuple(
-    (x, y) for x in (-1.5, -0.5, 0.4, 1.3) for y in (-1.2, -0.3, 0.7, 1.4))
+_PLANE_X, _PLANE_Y = np.meshgrid((-1.5, -0.5, 0.4, 1.3), (-1.2, -0.3, 0.7, 1.4),
+                                 indexing="ij")
 
 
-def verify_displacement_symmetry(G1: PlaneFunction, G2: PlaneFunction,
-                                 params: ModelParams) -> float:
+def verify_displacement_symmetry(G1: Poly2, G2: Poly2, params: ModelParams) -> float:
     """Max residual of the isotropic displacement-generator system over points."""
     moduli = AnisotropicModuli.isotropic(params.lam, params.mu)
     return verify_displacement_symmetry_aniso(G1, G2, moduli)
 
 
-def verify_displacement_symmetry_aniso(G1: PlaneFunction, G2: PlaneFunction,
+def verify_displacement_symmetry_aniso(G1: Poly2, G2: Poly2,
                                        moduli: AnisotropicModuli) -> float:
-    worst = 0.0
-    for x, y in _PLANE_POINTS:
-        r1, r2 = displacement_symmetry_residual(G1, G2, moduli, x, y)
-        worst = max(worst, abs(r1), abs(r2))
-    return worst
+    r1, r2 = displacement_symmetry_residual(G1, G2, moduli, _PLANE_X, _PLANE_Y)
+    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 
 def random_displacement_symmetry_aniso(moduli: AnisotropicModuli,

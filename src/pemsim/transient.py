@@ -584,7 +584,7 @@ class SteadyReport:
 
 
 def steady_state_check(state: RadialState, params: ModelParams,
-                       steady_tol: float = 1e-8) -> SteadyReport:
+                       steady_tol: float) -> SteadyReport:
     """Decide steadiness and measure the gap to the stationary solution.
 
     Uses the time-derivative norms the solver recorded (hand-built

@@ -86,10 +86,21 @@ F0 = 0.0       # unloaded
         ["transient", "--steady_tol", "inf"],
         ["transient", "--dt", "inf"],
         ["transient", "--load_ramp", "inf"],
+        ["transient", "--k", "inf"],
+        ["transient", "--rho_f0", "inf"],
+        ["transient", "--R0", "inf"],
+        ["stationary", "--case", "dirichlet", "--lam", "inf"],
+        ["symmetry", "--k", "inf"],
+        ["rst", "--r0", "1e170", "--R0", "1e200"],
     ])
     def test_value_rejected_by_solver_exits_2(self, args, tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_overflowing_radius_exits_4(self, tmp_path, capsys):
+        # The cubic's residual scale overflows to inf, not to a traceback.
+        assert main(["rst", "--R0", "1e200", "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith("no admissible root: ")
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pemsim.core import (AnisotropicModuli, ModelParams, ParameterError,
-                         lame_star, mixture_fields, validate_params)
+                         lame_star, mixture_fields)
 
 
 def make_params(**overrides):
@@ -35,6 +35,12 @@ class TestValidation:
         ("p_st", float("inf"), "p_st must be finite"),
         ("sigma1", float("-inf"), "sigma1 must be finite"),
         ("F0", float("nan"), "F0 must be finite"),
+        ("k", float("inf"), "k must be finite"),
+        ("lam", float("inf"), "lam must be finite"),
+        ("mu", float("inf"), "mu must be finite"),
+        ("rho_f0", float("inf"), "rho_f0 must be finite"),
+        ("D", float("inf"), "D must be finite"),
+        ("R0", float("inf"), "R0 must be finite"),
     ])
     def test_single_violations(self, field, value, fragment):
         with pytest.raises(ParameterError, match=fragment.replace("(", "\\(")):
@@ -43,21 +49,6 @@ class TestValidation:
     def test_geometry_ordering(self):
         with pytest.raises(ParameterError, match="r0 < R0"):
             make_params(r0=2.0, R0=1.0)
-
-    def test_validate_params_idempotent(self):
-        p = make_params()
-        assert validate_params(p) is p
-
-    def test_validate_params_from_mapping(self):
-        raw = dict(k=1.0, lam=1.0, mu=1.0, rho_f0=1.0, D=1.0, S_sieve=0.5,
-                   sigma1=1.0, p_a=0.0, p_st=0.0, F0=0.0, r0=1.0, R0=2.0)
-        p = validate_params(raw)
-        assert isinstance(p, ModelParams)
-        with pytest.raises(ParameterError, match="unknown parameter"):
-            validate_params({**raw, "bogus": 3.0})
-        del raw["mu"]
-        with pytest.raises(ParameterError, match="missing parameter 'mu'"):
-            validate_params(raw)
 
 
 class TestLameStar:
@@ -114,8 +105,6 @@ class TestAnisotropicModuli:
         assert m.e33 == 0.4
         assert m.e12 == 1.7
         assert m.e13 == 0.0 and m.e23 == 0.0
-        assert m.is_isotropic()
-        assert m.to_lame() == (1.7, 0.4)
 
     def test_positivity_enforced(self):
         with pytest.raises(ParameterError, match="e11"):
@@ -124,10 +113,3 @@ class TestAnisotropicModuli:
         with pytest.raises(ParameterError, match="e13"):
             AnisotropicModuli(e11=1.0, e22=1.0, e33=1.0, e12=0.0,
                               e13=-0.1, e23=0.0)
-
-    def test_generic_matrix_not_isotropic(self):
-        m = AnisotropicModuli(e11=2.0, e22=1.0, e33=1.0, e12=0.0,
-                              e13=1.0, e23=0.0)
-        assert not m.is_isotropic()
-        with pytest.raises(ValueError):
-            m.to_lame()

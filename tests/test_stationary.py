@@ -187,3 +187,44 @@ class TestStationaryCrossChecks:
     def test_bisection_oracle_raises_without_sign_change(self):
         with pytest.raises(NoRootError):
             bisect_root(lambda x: 1.0 + x * x, 0.0, 1.0)
+
+    def test_bisection_stops_once_the_bracket_is_adjacent_floats(self):
+        def full_bisection(f, lo, hi):
+            # The loop without an early stop: always 200 halvings.
+            flo = f(lo)
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                fm = f(mid)
+                if fm == 0.0:
+                    return mid
+                if (fm > 0) == (flo > 0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            a3, a2, a1 = rng.uniform(0.1, 3.0, 3)
+            lo, hi = sorted(rng.uniform(-5.0, 5.0, 2))
+            a0 = -((a3 * lo + a2) * lo + a1) * lo - rng.uniform(0.0, 1.0)
+
+            def f(x):
+                return ((a3 * x + a2) * x + a1) * x + a0
+
+            if (f(lo) > 0) == (f(hi) > 0) or 0.0 in (f(lo), f(hi)):
+                continue
+            assert bisect_root(f, lo, hi) == full_bisection(f, lo, hi)
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        root = bisect_root(g, 1.0, 2.0)
+        assert len(calls) <= 60
+        assert root == full_bisection(g, 1.0, 2.0)
+
+    def test_overflowing_radius_raises_no_root(self):
+        with pytest.raises(NoRootError):
+            rst_cubic(ModelParams.reference(F0=16 * math.pi, R0=1e200))

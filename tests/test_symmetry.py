@@ -10,7 +10,7 @@ from pemsim.polynomials import Poly2, PolyTXY, random_harmonic
 from pemsim.residuals import residual_cartesian_iso
 from pemsim.stationary import neumann_solution, rst_cubic
 from pemsim.symmetry import (GroupElement, HarmonicPotentialPair, TimeFunction,
-                             apply_group, cartesian_to_polar, check_invariance,
+                             _trig, apply_group, cartesian_to_polar, check_invariance,
                              displacement_symmetry_residual,
                              generate_displacement_symmetry,
                              polar_samples_from_cartesian,
@@ -143,6 +143,15 @@ class TestApplyGroup:
                 a = round_trip.eval(comp, (0.2, 0.7, -0.4), d)
                 b = field.eval(comp, (0.2, 0.7, -0.4), d)
                 assert a == pytest.approx(b, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, -1.3, 0.5 * math.pi, math.pi,
+                                     1.5 * math.pi, 2.0 * math.pi])
+    def test_inverse_rotation_negates_the_sine_exactly(self, phi):
+        # A transformed source queries its base at the image of the point
+        # under the inverse element, so _trig(-phi) must be (c, -s) bit for
+        # bit, down to the sign of a zero sine.
+        c, s = _trig(phi)
+        assert [v.hex() for v in _trig(-phi)] == [c.hex(), (-s).hex()]
 
     def test_rotation_group_law(self):
         rng = np.random.default_rng(29)
