@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ModelParams, lame_star
+from .core import ModelParams, ParameterError, lame_star
 from .fields import ProfileSource, RadialCartesianSource
 
 __all__ = [
@@ -202,16 +202,27 @@ class RstReport:
         return ((a3 * r + a2) * r + a1) * r + a0
 
 
+# The cubic's coefficients as _cubic_coefficients forms them, for errors.
+_CUBIC_TERMS = ("a3 = lam + mu", "a2 = F0/(4 pi) - (lam + mu)*R0",
+                "a1 = mu*r0*r0", "a0 = -(F0/(4 pi) + mu*R0)*r0*r0")
+
+
 def _cubic_coefficients(params: ModelParams) -> tuple[float, float, float, float]:
     lm = params.lam + params.mu
     load = params.F0 / (4.0 * math.pi)
     # Powers as products: a float ``**`` raises OverflowError, a product
     # overflows to inf.
     r0_sq = params.r0 * params.r0
-    return (lm,
-            load - lm * params.R0,
-            params.mu * r0_sq,
-            -(load + params.mu * params.R0) * r0_sq)
+    coeffs = (lm,
+              load - lm * params.R0,
+              params.mu * r0_sq,
+              -(load + params.mu * params.R0) * r0_sq)
+    overflowed = [f"cubic coefficient {term} overflows"
+                  for term, a in zip(_CUBIC_TERMS, coeffs)
+                  if not math.isfinite(a)]
+    if overflowed:
+        raise ParameterError(overflowed)
+    return coeffs
 
 
 def rst_cubic(params: ModelParams) -> RstReport:
@@ -220,7 +231,8 @@ def rst_cubic(params: ModelParams) -> RstReport:
     Solves the traction-balance cubic: all real roots are located via the
     companion matrix, Newton-polished, and the selected root in (r0, R0) is
     cross-checked against sign-change bisection.  A vanishing load returns
-    the undeformed radius exactly.
+    the undeformed radius exactly; a coefficient that overflows raises
+    ParameterError naming it.
     """
     if params.F0 < 0.0:
         raise ValueError("the shrink-radius analysis requires F0 >= 0")

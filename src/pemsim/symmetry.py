@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import AnisotropicModuli, ModelParams
-from .fields import FieldSource, GridFieldSource, _elementwise, _split_query
+from .fields import (DerivativeUnavailableError, FieldSource, GridFieldSource,
+                     _elementwise, _split_query)
 from .polynomials import Poly2
 from .residuals import (CARTESIAN_EQUATIONS, _elastic_force,
                         residual_cartesian_aniso)
@@ -240,7 +241,8 @@ class TransformedFieldSource:
             fy = base.eval(component, pre, (nt, 0, 1))
             return c * fx - s * fy if nx == 1 else s * fx + c * fy
         if nx + ny > 2:
-            raise ValueError("space order above 2 not supported for rotations")
+            raise DerivativeUnavailableError(
+                "space order above 2 not supported for rotations")
         fxx = base.eval(component, pre, (nt, 2, 0))
         fyy = base.eval(component, pre, (nt, 0, 2))
         fxy = base.eval(component, pre, (nt, 1, 1))

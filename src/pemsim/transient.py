@@ -174,7 +174,10 @@ def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray,
     if ab.shape != (l + u + 1, len(b)):
         raise ValueError(f"band of shape {ab.shape} does not match "
                          f"(l, u) = {l_and_u} and len(b) = {len(b)}")
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+    # Counting finite entries costs less than .all() on arrays this small.
+    finite_ab, finite_b = np.isfinite(ab), np.isfinite(b)
+    if (np.count_nonzero(finite_ab) < finite_ab.size
+            or np.count_nonzero(finite_b) < finite_b.size):
         raise ValueError("array must not contain infs or NaNs")
     if l == u == 1:
         _, _, _, x, info = _lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
@@ -209,23 +212,8 @@ class _Stepper:
         N = self.N = config.N
         self.eta = np.linspace(0.0, 1.0, N + 1)
         self.nodes = np.arange(N + 1)
-        self.ones = np.ones(N - 1)   # spreads a scalar along a diagonal
         self.ls = lame_star(params)
-        # Scatter plan: the flat band position of each coefficient assemble_wp
-        # lists, in its order.  Term (row, col, m, drow) covers the entries
-        # (row + drow*j, col + 2j), j < m: down a diagonal or along one row.
-        cols, n = 2 * (N + 1), N - 1
-        terms = [(2, 0, n, 2), (2, 2, n, 2), (2, 4, n, 2), (2, 1, n, 2),
-                 (2, 5, n, 2), (3, 1, n, 2), (3, 3, n, 2), (3, 5, n, 2),
-                 (3, 0, n, 2), (5, 0, n - 1, 2), (5, 4, n - 1, 2),
-                 (3, 2, n, 2), (3, 0, n, 2), (3, 4, n, 2),
-                 (3, 4, n, 2), (3, 2, n - 1, 2), (3, 6, n - 1, 2),
-                 (2 * N - 1, 2 * N - 4, 3, 0), (0, 0, 1, 0),
-                 (1, 1, 1 if geometry == "annulus" else 3, 0),
-                 (2 * N, 2 * N - 4, 3, 0), (2 * N + 1, 2 * N + 1, 1, 0)]
-        self.wp_plan = np.concatenate([
-            (4 + r - c) * cols + c + (2 + (dr - 2) * cols) * np.arange(m)
-            for r, c, m, dr in terms])
+        self._init_wp_buffers()
         # Previous-step data, set by simulate().
         self.t, self.S, self.Sdot = 0.0, params.R0, 0.0
         self.P = np.full(N + 1, params.p_a)
@@ -248,17 +236,93 @@ class _Stepper:
 
     # ---- linear (w, P) solve for a trial boundary position ----------------
 
+    def _init_wp_buffers(self) -> None:
+        """Allocate the value buffer of assemble_wp, its block views, the
+        per-run constants and the scatter plan ``wp_plan``: once per run."""
+        N, n = self.N, self.N - 1
+        cols = 2 * (N + 1)
+        self._rhs_at = 20 * (N + 1)   # the scatter output is ab, rhs, junk
+        junk = 22 * (N + 1)
+        self._bins = junk + 1
+        i = np.arange(1, N)
+        mom, vol = 2 * i, 2 * i + 1   # the two rows of interior node i
+
+        def at(row, col, keep=True):
+            return np.where(keep, (4 + row - col) * cols + col, junk)
+
+        tail = [(2 * N - 1, 2 * N - 4), (2 * N - 1, 2 * N - 2),
+                (2 * N - 1, 2 * N), (0, 0), (1, 1),
+                *([(1, 3), (1, 5)] if self.geometry == "circle" else []),
+                (2 * N, 2 * N - 4), (2 * N, 2 * N - 2), (2 * N, 2 * N),
+                (2 * N + 1, 2 * N + 1)]
+        self.wp_plan = np.concatenate([
+            at(mom, mom - 2), at(mom, mom + 2),                  # L
+            at(vol, vol - 2), at(vol, vol + 2),
+            at(mom, mom),                                        # cw0
+            at(mom, mom - 1), np.full(n, junk), at(mom, mom + 3),  # a
+            at(vol, vol),                                        # vol_P
+            at(vol, mom - 2), at(vol, mom), at(vol, mom + 2),    # a_dt
+            at(vol, mom - 4, i > 1), at(vol, mom, i > 1),        # adv
+            at(vol, mom - 2), at(vol, mom + 2),
+            at(vol, mom, i < N - 1), at(vol, mom + 4, i < N - 1),
+            np.tile(self._rhs_at + vol, 3),                      # rhs_v
+            at(*np.array(tail).T)])                              # tail
+        vals = self._wp_vals = np.empty(len(self.wp_plan))
+        views, start = [], 0
+        for shape in ((2, 2, n), (n,), (3, n), (n,), (3, n), (3, 2, n), (3, n)):
+            views.append(vals[start:start + math.prod(shape)].reshape(shape))
+            start += math.prod(shape)
+        (self._L, self._cw0, self._a, self._vol_P, self._a_dt, self._adv,
+         self._rhs_v) = views
+        self._tail = vals[start:]
+        self._a_ends = self._a[0::2]              # the rows -c1, c1
+        self._inner = i.astype(float)
+        self._L_scale = np.array([[[-self.ls]], [[-(self.params.k / 2.0)]]])
+        self._minus_plus = np.array([[-1.0], [1.0]])
+        # Row s = -1, 0, 1 of a gather through _shift holds node i + s.
+        self._shift = np.arange(3)[:, None] + np.arange(n)
+        self._eta_shift = self.eta[self._shift]
+
     def assemble_wp(self, S: float, dt: float, t_new: float):
         """The (5, 4) band ab and right-hand side of the backward-Euler
         displacement/pressure system on the grid mapped to [r_in, S].
 
         Unknowns interleave as (w_0, P_0, w_1, P_1, ...); entry (row, col)
-        lives at ``ab[4 + row - col, col]``.  The stencil coefficients are
-        listed term by term, and one scatter through ``wp_plan`` (their band
-        positions in the same order, built once per run) sums them into ab:
-        ``np.bincount`` adds in input order from 0.0, so an entry that several
-        terms share is their sum in the order listed.  Reordering the terms,
-        in the list and the plan alike, changes the solution in its last bits.
+        lives at ``ab[4 + row - col, col]``.  Interior node i = 1 .. N-1 owns
+        the momentum row 2i and the volume-balance row 2i+1, and each of
+        their stencil coefficients is computed for all n = N-1 nodes at once,
+        as one row of a block of a value buffer allocated per run.  In buffer
+        order, with c1 = 1/(2h) and a = (-c1, 1/r_i, c1) the weights of
+        V_{i-1}, V_i, V_{i+1} in the volume row:
+
+        - ``L`` (2, 2, n): -ls and -(k/2) times 1/h^2 -/+ 1/(2 h r_i), the
+          momentum row at w_{i-1}, w_{i+1} and the volume row at P_{i-1},
+          P_{i+1};
+        - ``cw0`` (n): the momentum row at w_i;
+        - ``a`` (3, n): its outer rows are the momentum row at P_{i-1},
+          P_{i+1}; its 1/r_i row goes to a junk bin;
+        - ``vol_P`` (n): the volume row at P_i;
+        - ``a_dt`` (3, n): a/dt, the volume row at w_{i-1}, w_i, w_{i+1};
+        - ``adv`` (3, 2, n): for s = -1, 0, 1, the advective part of
+          V_{i+s} through its central D1 stencil, at w_{i+s-1} and
+          w_{i+s+1}.  Node 0 (eta = 0) and node N (one-sided stencil,
+          patched in the tail) have none, so the s = -1 row at i = 1 and the
+          s = +1 row at i = N-1 go to the junk bin;
+        - ``rhs_v`` (3, n): a*w^n_{i+s}/dt, the volume rows of the rhs;
+        - ``tail``: the V_N patch of row 2N-1, then the boundary rows.
+
+        One ``np.bincount`` through ``wp_plan`` (the flat position of each
+        buffer value in ab, then rhs, then the junk bin) sums the buffer
+        into ab and rhs.  bincount adds the values of a bin in buffer order,
+        starting from 0.0, so the blocks may be laid out in any order except
+        among values that share an entry.  That happens only in the volume
+        rows, at w_{i-1}, w_i and w_{i+1} and in the rhs.  In each such group
+        the first two values may swap, because addition commutes; the third,
+        the s = +1 advective value at w_i, the V_N patch or the s = +1 rhs
+        shift, must stay last, because addition does not associate; another
+        order within a group can change the solution in its last bits.  The
+        other rhs entries are written after the scatter, which would turn a
+        -0.0 into 0.0.
 
         The boundary rows are scaled to the interior magnitude ls/h^2: unit
         Dirichlet rows would be pivoted below rows some 1e6 times larger,
@@ -269,76 +333,68 @@ class _Stepper:
         p = self.params
         N = self.N
         h = (S - self.r_in) / N
+        h2 = h**2
         Sdot = (S - self.S) / dt
-        k, ls, lam = p.k, self.ls, p.lam
-        rhs = np.zeros(2 * (N + 1))
-
-        ri = self.r_in + h * self.nodes[1:N]   # interior nodes i = 1 .. N-1
-        A = -Sdot * self.eta         # advective factor inside the w_t operator
-        c1 = 1.0 / (2.0 * h)         # central D1 weight
+        ls, a, a_ends = self.ls, self._a, self._a_ends
+        c1 = 1.0 / (2.0 * h)
+        ri = self.r_in + h * self._inner
         inv_2hr = 1.0 / (2.0 * h * ri)
-        lap_m, lap_p = 1.0 / h**2 - inv_2hr, 1.0 / h**2 + inv_2hr  # D2 + D1/r
-
-        # Momentum rows 2i: inertia + P_r - elastic = rhs.
-        cw_m = -ls * lap_m
-        cw_0 = -ls * (-2.0 / h**2 - 1.0 / ri**2)
-        cw_p = -ls * lap_p
+        np.multiply(self._L_scale, 1.0 / h2 + self._minus_plus * inv_2hr,
+                    out=self._L)
+        np.multiply(-ls, -2.0 / h2 - 1.0 / ri**2, out=self._cw0)
+        a[0].fill(-c1)
+        np.divide(1.0, ri, out=a[1])
+        a[2].fill(c1)
+        self._vol_P.fill(-(p.k / 2.0) * (-2.0 / h2))
+        np.divide(a, dt, out=self._a_dt)
+        # A = -Sdot*eta, the advective factor inside the w_t operator.
+        A = -Sdot * self._eta_shift
+        np.multiply((a * A)[:, None], a_ends, out=self._adv)
+        np.multiply(a, self.w[self._shift], out=self._rhs_v)
+        self._rhs_v /= dt
         if not self.config.quasi_static:
             rho_i = self.rho[1:N]
             # Quadratic velocity products at the previous time level.
             Vn = self.V
             Qn = Vn[1:N] * (self.rho_t[1:N] + rho_i * fd1(Vn, h)[1:N]
                             + rho_i * Vn[1:N] / ri)
-            cw_0 = cw_0 + rho_i / dt**2
-            cw_m = cw_m + rho_i / dt * A[1:N] * (-c1)
-            cw_p = cw_p + rho_i / dt * A[1:N] * c1
-            rhs[2:2 * N:2] = (rho_i * self.w[1:N] / dt**2 + rho_i * Vn[1:N] / dt
-                              - Qn)
-        # w_{i-1}, w_i, w_{i+1}, P_{i-1}, P_{i+1}
-        vals = [cw_m, cw_0, cw_p, -c1 * self.ones, c1 * self.ones]
+            self._cw0 += rho_i / dt**2
+            self._L[0] += rho_i / dt * A[1] * a_ends
+            rhs_mom = rho_i * self.w[1:N] / dt**2 + rho_i * Vn[1:N] / dt - Qn
 
-        # Volume-balance rows 2i+1:
-        #   (D1 V)_i + V_i/r_i - (k/2)(D2 P + D1 P / r)_i = 0,
-        # with V_j = (w_j - w^n_j)/dt - Sdot*eta_j*(D1 w)_j.
-        vals += [-(k / 2.0) * lap_m, -(k / 2.0) * (-2.0 / h**2) * self.ones,
-                 -(k / 2.0) * lap_p]
-        for s, a in ((-1, -c1), (0, 1.0 / ri), (1, c1)):
-            # w_j at node j = i + s, then the advective part of V_j through
-            # its central D1 stencil at interior j only: eta[0] = 0, and the
-            # outer node's one-sided stencil is patched below.
-            lo, hi = max(0, -s), N - 1 - max(0, s)
-            coef = a * A[1 + s + lo:1 + s + hi]
-            vals += [a / dt * self.ones, coef * (-c1), coef * c1]
-            rhs[3:2 * N:2] += a * self.w[1 + s:N + s] / dt
-
-        # Row i = N-1 touches V_N, whose D1 stencil is one-sided; then the
-        # boundary rows, Dirichlet ones weighted by d, derivative ones by 1/h.
-        cN = c1 * A[N]
-        d = ls / h**2
-        inner_P = ((d,) if self.geometry == "annulus"             # P = p_a
-                   else (-1.5 / h**2, 2.0 / h**2, -0.5 / h**2))  # P_r = 0
-        vals.append(np.array([
+        # V_N's one-sided D1 (c1*A[N] with eta[N] = 1), then the boundary
+        # rows, Dirichlet ones weighted by d, derivative ones by 1/h.
+        cN = c1 * -Sdot
+        d = ls / h2
+        inner_P = ((d,) if self.geometry == "annulus"            # P = p_a
+                   else (-1.5 / h2, 2.0 / h2, -0.5 / h2))        # P_r = 0
+        self._tail[:] = (
             cN * 0.5 / h, cN * (-2.0) / h, cN * 1.5 / h,  # V_N patch
             d, *inner_P,                                  # w = 0, P at r_in
-            ls * 0.5 / h**2, -ls * 2.0 / h**2, (ls * 1.5 / h + lam / S) / h,
-            d]))                                # traction; P(outer) = p_a
+            ls * 0.5 / h2, -ls * 2.0 / h2, (ls * 1.5 / h + p.lam / S) / h,
+            d)                                  # traction; P(outer) = p_a
+
+        out = np.bincount(self.wp_plan, self._wp_vals, self._bins)
+        rhs = out[self._rhs_at:-1]
+        if not self.config.quasi_static:
+            rhs[2:2 * N:2] = rhs_mom
         if self.geometry == "annulus":
             rhs[1] = d * p.p_a
-        rhs[2 * N:] = self.traction_rhs(t_new, S) / h, d * p.p_a
-
-        ab = np.bincount(self.wp_plan, np.concatenate(vals), 20 * (N + 1))
-        return ab.reshape(10, 2 * (N + 1)), rhs
+        rhs[2 * N] = self.traction_rhs(t_new, S) / h
+        rhs[2 * N + 1] = d * p.p_a
+        return out[:self._rhs_at].reshape(10, 2 * (N + 1)), rhs
 
     def solve_wp(self, S: float, dt: float, t_new: float):
         """Solve the system of :meth:`assemble_wp`; returns (w, P)."""
         z = solve_banded((5, 4), *self.assemble_wp(S, dt, t_new))
-        w_sol, P_sol = z[0::2], z[1::2]
-        # pin the Dirichlet rows exactly (LU leaves rounding-level residue)
-        w_sol[0] = 0.0
+        # pin the Dirichlet rows exactly (LU leaves rounding-level residue):
+        # w_0 = 0, P_N = p_a, and P_0 = p_a on the annulus
+        p_a = self.params.p_a
+        z[0] = 0.0
+        z[-1] = p_a
         if self.geometry == "annulus":
-            P_sol[0] = self.params.p_a
-        P_sol[-1] = self.params.p_a
-        return w_sol, P_sol
+            z[1] = p_a
+        return z[0::2], z[1::2]
 
     # ---- free-boundary scalar solve ---------------------------------------
 
@@ -366,8 +422,7 @@ class _Stepper:
         def g(S: float) -> float:
             if S not in cache:
                 cache[S] = self.solve_wp(S, dt, t_new)
-            w, _ = cache[S]
-            return float(w[-1] - (S - R0))
+            return float(cache[S][0][-1]) - (S - R0)
 
         def finish(S: float):
             w, P = cache[S]
@@ -527,6 +582,8 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
     # within this slack of t_end is the last one and ends at t_end exactly.
     slack = 1e-12 * config.t_end
     step_index = 0
+    # The ufunc reductions themselves: ndarray.max adds a Python layer.
+    amax, fmin, fmax = np.maximum.reduce, np.fmin.reduce, np.fmax.reduce
     while st.t < config.t_end:
         remaining = config.t_end - st.t
         dt = config.dt if remaining > config.dt - slack else remaining
@@ -544,19 +601,21 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
                 dt *= 0.5
 
         Sdot = (S_new - st.S) / dt
+        d_rho = rho_new - st.rho
         rates = {
-            "w": float(np.abs(V_new).max()),
-            "P": float(np.abs(P_new - st.P).max() / dt),
-            "rho": float(np.abs(rho_new - st.rho).max() / dt),
-            "theta": float(np.abs(theta_new - st.theta).max() / dt),
+            "w": float(amax(np.abs(V_new))),
+            "P": float(amax(np.abs(P_new - st.P)) / dt),
+            "rho": float(amax(np.abs(d_rho)) / dt),
+            "theta": float(amax(np.abs(theta_new - st.theta)) / dt),
             "S": abs(Sdot),
         }
-        st.rho_t = (rho_new - st.rho) / dt
+        st.rho_t = d_rho / dt
         st.t = st.t + dt if remaining - dt > slack else config.t_end
         st.S, st.Sdot, st.w, st.P = S_new, Sdot, w_new, P_new
         st.V, st.e, st.rho, st.theta = V_new, e_new, rho_new, theta_new
-        if ((theta_new <= 0.0).any() or (theta_new >= 1.0).any()
-                or (rho_new <= 0.0).any()):
+        # fmin/fmax skip NaNs, as elementwise comparisons would.
+        if (fmin(theta_new) <= 0.0 or fmax(theta_new) >= 1.0
+                or fmin(rho_new) <= 0.0):
             raise PhysicalBoundsError(
                 f"porosity/density left physical bounds at t={st.t}",
                 _make_state(st, rates))

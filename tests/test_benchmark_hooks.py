@@ -75,7 +75,18 @@ def test_sample_grid_queries_each_component_once():
     assert counts["eval.poly"] <= 6
 
 
-def test_simulate_band_solves_reach_tracer():
+def test_simulate_band_solves_reach_tracer(monkeypatch):
+    # Every (w, P) solve a step reports must pass through the traced
+    # transient.solve_banded, or the tracer's transient.wp_solves undercounts.
+    solves = []
+    solve_step = transient._Stepper.solve_step
+
+    def counting_solve_step(self, dt):
+        result = solve_step(self, dt)
+        solves.append(result[-1])
+        return result
+
+    monkeypatch.setattr(transient._Stepper, "solve_step", counting_solve_step)
     cfg = transient.SimConfig(N=32, dt=2e-3, t_end=0.02, output_every=1)
     tracer = load_tracer()
     tracer.install()
@@ -85,5 +96,6 @@ def test_simulate_band_solves_reach_tracer():
     finally:
         tracer.uninstall()
     counts = tracer.counts()
-    assert counts["solve_banded.wp"] > 0
+    assert sum(solves) > 0
+    assert counts["solve_banded.wp"] == sum(solves)
     assert counts["solve_banded.transport"] == 2 * (len(states) - 1)

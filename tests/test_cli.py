@@ -97,6 +97,11 @@ F0 = 0.0       # unloaded
         assert main(args + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    def test_overflowing_cubic_coefficient_named(self, tmp_path, capsys):
+        assert main(["rst", "--r0", "1e170", "--R0", "1e200",
+                     "--out", str(tmp_path)]) == 2
+        assert "a1 = mu*r0*r0" in capsys.readouterr().err
+
     def test_overflowing_radius_exits_4(self, tmp_path, capsys):
         # The cubic's residual scale overflows to inf, not to a traceback.
         assert main(["rst", "--R0", "1e200", "--out", str(tmp_path)]) == 4

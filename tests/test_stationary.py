@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from pemsim.core import ModelParams
+from pemsim.core import ModelParams, ParameterError
 from pemsim.residuals import residual_ring
 from pemsim.stationary import (NoRootError, bisect_root,
                                boundary_traction_mismatch, dirichlet_solution,
@@ -224,6 +225,17 @@ class TestStationaryCrossChecks:
         root = bisect_root(g, 1.0, 2.0)
         assert len(calls) <= 60
         assert root == full_bisection(g, 1.0, 2.0)
+
+    @pytest.mark.parametrize("overrides, term", [
+        (dict(r0=1e170, R0=1e200), "a1 = mu*r0*r0"),
+        (dict(lam=1e308, mu=1e308), "a3 = lam + mu"),
+        (dict(lam=1e200, mu=1e200, R0=1e200),
+         "a2 = F0/(4 pi) - (lam + mu)*R0"),
+    ])
+    def test_overflowing_coefficient_named(self, overrides, term):
+        params = ModelParams.reference(F0=16 * math.pi, **overrides)
+        with pytest.raises(ParameterError, match=re.escape(term)):
+            rst_cubic(params)
 
     def test_overflowing_radius_raises_no_root(self):
         with pytest.raises(NoRootError):

@@ -132,6 +132,16 @@ class TestApplyGroup:
         with pytest.raises(DerivativeUnavailableError):
             field.eval("u1", point, d)
 
+    @pytest.mark.parametrize("component", ["u1", "u2", "p", "c"])
+    @pytest.mark.parametrize("d", [(0, 3, 0), (0, 2, 1), (1, 1, 2)])
+    def test_rotation_above_space_order_2_unavailable(self, component, d):
+        # The rotation rule stops at the Hessian, though the polynomial base
+        # answers order 3; it reports that like every other source does.
+        field = apply_group(GroupElement.rotation(0.7),
+                            random_polynomial_field(np.random.default_rng(7)))
+        with pytest.raises(DerivativeUnavailableError, match="space order"):
+            field.eval(component, (0.3, 0.4, -0.2), d)
+
     def test_rotation_inverse(self):
         rng = np.random.default_rng(23)
         field = random_polynomial_field(rng)
