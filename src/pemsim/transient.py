@@ -22,6 +22,13 @@ mode keeps them with the quadratic velocity products treated explicitly.
 The boundary rows of the (w, P) band are written at the magnitude of the
 interior stencil rows, so the pivoted band LU solves them to round-off of
 the solution and the step rates fall to zero once the run is steady.
+
+Time steps: backward Euler on the lattice config.dt * 2**k.  Steps stay at
+config.dt until the load has taken its final form; then each step doubles or
+halves on a local error estimate that compares it with the linear
+extrapolation of the step before (the Milne device), which needs no extra
+solve.  The relaxation towards the stationary state is exponential, so the
+steps grow across its tail until the estimate holds them (see simulate).
 """
 
 from __future__ import annotations
@@ -47,11 +54,19 @@ __all__ = [
     "fd1",
     "fd2",
     "MAX_DT_HALVINGS",
+    "MAX_DT_DOUBLINGS",
+    "DT_ERROR_RATIO",
 ]
 
 # A step that fails is retried at half the step size this many times before
 # simulate gives up and raises.
 MAX_DT_HALVINGS = 12
+
+# Once the load is settled, a step may double up to this many times from
+# config.dt, while its local error estimate stays within 0.45 * DT_ERROR_RATIO
+# of its own increment; above DT_ERROR_RATIO it halves (see simulate).
+MAX_DT_DOUBLINGS = 10
+DT_ERROR_RATIO = 0.1
 
 
 class SimulationError(RuntimeError):
@@ -560,13 +575,32 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
     means ``rho_f0``) and uniform porosity ``theta0``; other values than
     rho0 > 0 and 0 < theta0 < 1 raise ParameterError.  Returns snapshots
     every ``output_every`` accepted steps plus the initial and final states.
-    Every step starts at ``config.dt`` and is retried at half its size, up to
-    ``MAX_DT_HALVINGS`` times, when its solve fails; no step size carries
-    over to the next step.  Only a last step that would overshoot t_end by
-    more than rounding is cut short, so a run whose t_end is a whole number
-    of steps away takes full steps throughout and ends at t = t_end exactly.
     Porosity or density leaving their physical bounds aborts with the
     offending state attached.
+
+    Steps lie on the lattice ``config.dt * 2**k``, 0 <= k <=
+    ``MAX_DT_DOUBLINGS``: ``config.dt`` is the smallest step the controller
+    picks, not the largest.  The first two steps, every step that starts
+    before the last kink of the load (a finite ``load_end``, else
+    ``load_ramp``) and the step after a halved retry take ``config.dt``, so
+    no grown step crosses a kink.  After any other accepted step, the Milne
+    estimate of its local error sets the next size.  Per variable y = w, P
+    and S, with y_pred the linear extrapolation of the previous step, the
+    ratio
+
+        dt / (dt + dt_prev) * max|y_new - y_pred| / max|y_new - y_old|
+
+    doubles the step when it is at most 0.45 * ``DT_ERROR_RATIO`` for every
+    variable, halves it (never below ``config.dt``) when it exceeds
+    ``DT_ERROR_RATIO`` for any, and keeps it otherwise; no step is rejected.
+    A step whose w, P and S increments all lie within ``steady_tol * dt``
+    keeps its size, so a steady run stays on one step size.  The ratio is
+    about lambda*dt/2 on a mode decaying at rate lambda, so "every rate
+    <= steady_tol" stops a run at the same distance from steady state at
+    any step size.  A step whose solve fails is retried at half its size,
+    up to ``MAX_DT_HALVINGS`` times.  Only a last step that would overshoot
+    t_end by more than rounding is cut short, and a step that ends within
+    rounding of t_end ends at t = t_end exactly.
     """
     st = _Stepper(params, config, geometry)
     if not 0.0 < theta0 < 1.0:
@@ -581,12 +615,17 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
     # t sums its steps, so it meets t_end only to rounding: a step that ends
     # within this slack of t_end is the last one and ends at t_end exactly.
     slack = 1e-12 * config.t_end
-    step_index = 0
+    # Steps that start before the last kink of the load stay at config.dt.
+    # The load is 0 after load_end, so a ramp ending later is no kink.
+    kink = config.load_end if config.load_end < math.inf else config.load_ramp
+    step_index = doublings = 0
+    prev = None    # (dt, w, P, S increments) of the previous step
     # The ufunc reductions themselves: ndarray.max adds a Python layer.
     amax, fmin, fmax = np.maximum.reduce, np.fmin.reduce, np.fmax.reduce
     while st.t < config.t_end:
         remaining = config.t_end - st.t
-        dt = config.dt if remaining > config.dt - slack else remaining
+        h = config.dt * 2**doublings
+        dt = h if remaining > h - slack else remaining
         halvings = 0
         while True:
             try:
@@ -600,11 +639,13 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
                     raise
                 dt *= 0.5
 
-        Sdot = (S_new - st.S) / dt
+        dw, dP, dS = w_new - st.w, P_new - st.P, S_new - st.S
+        Sdot = dS / dt
         d_rho = rho_new - st.rho
+        dP_max = amax(np.abs(dP))
         rates = {
             "w": float(amax(np.abs(V_new))),
-            "P": float(amax(np.abs(P_new - st.P)) / dt),
+            "P": float(dP_max / dt),
             "rho": float(amax(np.abs(d_rho)) / dt),
             "theta": float(amax(np.abs(theta_new - st.theta)) / dt),
             "S": abs(Sdot),
@@ -627,6 +668,26 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
             out.append(_make_state(st, rates))
         if is_steady and config.stop_when_steady:
             break
+
+        # The size of the next step, from the Milne estimate of this one.
+        if halvings or st.t < kink or prev is None:
+            doublings = 0
+        else:
+            dt_prev, dw_prev, dP_prev, dS_prev = prev
+            sizes = (amax(np.abs(dw)), dP_max, abs(dS))
+            if max(sizes) > config.steady_tol * dt:
+                # Per variable, the gap between the step and the linear
+                # extrapolation of the one before, over the step's increment.
+                q, c = dt / dt_prev, dt / (dt + dt_prev)
+                misses = (c * amax(np.abs(dw - q * dw_prev)),
+                          c * amax(np.abs(dP - q * dP_prev)),
+                          c * abs(dS - q * dS_prev))
+                if any(m > DT_ERROR_RATIO * s for m, s in zip(misses, sizes)):
+                    doublings = max(doublings - 1, 0)
+                elif all(m <= 0.45 * DT_ERROR_RATIO * s
+                         for m, s in zip(misses, sizes)):
+                    doublings = min(doublings + 1, MAX_DT_DOUBLINGS)
+        prev = dt, dw, dP, dS
     return out
 
 

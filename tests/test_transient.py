@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from pemsim import transient
@@ -389,6 +389,7 @@ class TestExactLastStep:
 class TestStepRetry:
     def test_failed_step_retried_at_half_size_then_full_size(
             self, monkeypatch):
+        monkeypatch.setattr(transient, "MAX_DT_DOUBLINGS", 0)
         cfg = SimConfig(N=32, dt=1e-2, t_end=3.0, output_every=1)
         unforced = simulate(GENTLE, cfg, theta0=0.7)[-1]
         solve_step = _Stepper.solve_step
@@ -409,6 +410,31 @@ class TestStepRetry:
                                           rel=1e-9)
         assert max(states[-1].rate_norms.values()) <= cfg.steady_tol
         assert abs(states[-1].S - unforced.S) <= 1e-6
+
+    def test_step_after_halved_grown_step_is_config_dt(self, monkeypatch):
+        p = ModelParams.reference(F0=0.8 * math.pi)
+        cfg = SimConfig(N=24, dt=1e-2, t_end=20.0, output_every=1)
+        unforced = np.diff([s.t for s in simulate(p, cfg, geometry="circle",
+                                                  theta0=0.7)])
+        grown = int(np.argmax(unforced > 3.5 * cfg.dt))   # first 4 dt step
+        assert grown > 0
+        solve_step = _Stepper.solve_step
+        attempts = []
+
+        def fail_grown_step(self, dt):
+            attempts.append(dt)
+            if len(attempts) == grown + 1:
+                raise SimulationError("injected failure")
+            return solve_step(self, dt)
+
+        monkeypatch.setattr(_Stepper, "solve_step", fail_grown_step)
+        states = simulate(p, cfg, geometry="circle", theta0=0.7)
+        steps = np.diff([s.t for s in states])
+        assert steps[:grown] == pytest.approx(unforced[:grown], rel=1e-12)
+        assert attempts[grown] == 2 * attempts[grown + 1]
+        assert steps[grown] == pytest.approx(unforced[grown] / 2, rel=1e-9)
+        assert steps[grown + 1] == pytest.approx(cfg.dt, rel=1e-9)
+        assert max(states[-1].rate_norms.values()) <= cfg.steady_tol
 
 
 class TestFailuresStayLoud:
@@ -451,8 +477,9 @@ class TestFailuresStayLoud:
 
 
 class TestTemporalOrder:
-    def test_backward_euler_self_convergence(self):
+    def test_backward_euler_self_convergence(self, monkeypatch):
         # S(t_end) under dt, dt/2, dt/4, dt/8: differences halve (order 1)
+        monkeypatch.setattr(transient, "MAX_DT_DOUBLINGS", 0)
         S = []
         for dt in (8e-3, 4e-3, 2e-3, 1e-3):
             cfg = SimConfig(N=48, dt=dt, t_end=0.4, load_ramp=0.2,
@@ -461,6 +488,100 @@ class TestTemporalOrder:
         d = np.diff(S)
         ratios = d[:-1] / d[1:]
         assert np.all((ratios >= 1.8) & (ratios <= 2.2)), ratios
+
+
+class TestStepGrowth:
+    """Once the load is settled the step doubles along config.dt * 2**k
+    while the Milne estimate of its local error stays small."""
+
+    CIRCLE = ModelParams.reference(F0=0.8 * math.pi)
+
+    @staticmethod
+    def _fixed(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(transient, "MAX_DT_DOUBLINGS", 0)
+            return simulate(*args, **kwargs)
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(geometry=hst.sampled_from(["circle", "annulus"]),
+           N=hst.integers(16, 40),
+           F0=hst.floats(0.5 * math.pi, 2 * math.pi),
+           theta0=hst.floats(0.6, 0.9),
+           load_ramp=hst.sampled_from([0.0, 0.05, 1.5]),
+           load_end=hst.sampled_from([math.inf, 0.1, 2.0]))
+    @example(geometry="circle", N=24, F0=0.8 * math.pi, theta0=0.7,
+             load_ramp=0.0, load_end=2.0)    # relaxed long before the kink
+    def test_lattice_steps_settled_load_and_steady_radius(
+            self, geometry, N, F0, theta0, load_ramp, load_end):
+        p = ModelParams.reference(F0=F0)
+        cfg = SimConfig(N=N, dt=0.04, t_end=40.0, steady_tol=1e-10,
+                        load_ramp=load_ramp, load_end=load_end,
+                        output_every=1)
+        states = simulate(p, cfg, geometry=geometry, theta0=theta0)
+        kink = load_end if load_end < math.inf else load_ramp
+        t = np.array([s.t for s in states])
+        k = np.log2(np.diff(t) / cfg.dt)
+        lattice = np.abs(k - np.round(k)) <= 1e-9
+        assert np.all(lattice[:-1]) and (lattice[-1] or t[-1] == cfg.t_end)
+        assert np.all(np.round(k) <= transient.MAX_DT_DOUBLINGS)
+        assert np.all((np.round(k) <= 0) | (t[:-1] >= kink))
+        for s in states:
+            assert np.all(s.Theta > 0.0) and np.all(s.Theta < 1.0)
+            assert np.all(s.varrho > 0.0)
+            assert abs(s.w[-1] - (s.S - p.R0)) <= 1e-9
+        fixed = self._fixed(p, cfg, geometry=geometry, theta0=theta0)[-1]
+        assert max(fixed.rate_norms.values()) <= cfg.steady_tol
+        assert max(states[-1].rate_norms.values()) <= cfg.steady_tol
+        assert abs(states[-1].S - fixed.S) <= 1e-9
+
+    def test_trajectory_error_within_three_times_fixed_step(self):
+        # max |S(t) - S_ref(t)| over each run's steps, S_ref at dt/8
+        cfg = SimConfig(N=16, dt=1e-2, t_end=4.0, output_every=1,
+                        stop_when_steady=False)
+        run = dict(params=self.CIRCLE, geometry="circle", theta0=0.7)
+        ref = self._fixed(config=dataclasses.replace(cfg, dt=cfg.dt / 8),
+                          **run)
+        t_ref, S_ref = np.array([[s.t, s.S] for s in ref]).T
+
+        def steps_and_gap(states):
+            t, S = np.array([[s.t, s.S] for s in states]).T
+            return len(t) - 1, np.max(np.abs(S - np.interp(t, t_ref, S_ref)))
+
+        n_fixed, gap_fixed = steps_and_gap(self._fixed(config=cfg, **run))
+        n_grown, gap_grown = steps_and_gap(simulate(config=cfg, **run))
+        assert n_grown < n_fixed / 4
+        assert gap_grown <= 3.0 * gap_fixed
+
+    def test_circle_run_takes_few_steps(self):
+        # the TestCircle run: 5,966 steps at a fixed dt
+        cfg = SimConfig(N=96, dt=2e-3, t_end=20.0, steady_tol=1e-9,
+                        output_every=1)
+        states = simulate(self.CIRCLE, cfg, geometry="circle", theta0=0.7)
+        assert len(states) - 1 <= 600
+        assert max(states[-1].rate_norms.values()) <= cfg.steady_tol
+
+    def test_steady_run_keeps_its_step_size(self):
+        # round-off increments past steady state must not steer the step
+        cfg = SimConfig(N=24, dt=1e-2, t_end=30.0, steady_tol=1e-9,
+                        output_every=1, stop_when_steady=False)
+        states = simulate(self.CIRCLE, cfg, geometry="circle", theta0=0.7)
+        rates = np.array([max(s.rate_norms.values()) for s in states[1:]])
+        steps = np.diff([s.t for s in states])
+        first = int(np.argmax(rates <= cfg.steady_tol))
+        assert 0 < first < len(steps) - 10
+        assert np.all(rates[first:] <= cfg.steady_tol)
+        assert steps[first] > cfg.dt
+        assert steps[first + 1:-1] == pytest.approx(
+            [steps[first]] * (len(steps) - first - 2), rel=1e-9)
+
+    @pytest.mark.parametrize("N", [100, 200, 400])
+    def test_reference_annulus_takes_no_more_steps(self, N):
+        cfg = SimConfig(N=N, dt=2e-3, t_end=3.0, steady_tol=1e-8,
+                        output_every=1)
+        grown = simulate(HEAVY, cfg, theta0=0.9999)
+        fixed = self._fixed(HEAVY, cfg, theta0=0.9999)
+        assert len(grown) <= len(fixed)
+        assert abs(grown[-1].S - fixed[-1].S) <= 1e-9
 
 
 class TestUnloadedEquilibrium:
