@@ -16,9 +16,12 @@ def _horner(rows: list, v, *rest):
     """Nested Horner in ``v`` (outermost) and ``rest`` over a reversed table.
 
     ``rows`` holds the table reversed along every axis as Python floats.
-    An array query runs the same multiplies and adds at each element as a
-    float query at that node, so the two round alike for every table shape;
-    a single row still enters as ``0.0 * v + row``, for the broadcast shape.
+    Poly2 and PolyTXY keep the reversed view and convert it per call: held
+    as Python floats, a 27-entry table would take about 1.7 kB, and field
+    sources keep thousands of derivative tables alive.  An array query runs
+    the same multiplies and adds at each element as a float query at that
+    node, so the two round alike for every table shape; a single row still
+    enters as ``0.0 * v + row``, for the broadcast shape.
     """
     acc = None
     for row in rows:
@@ -47,6 +50,7 @@ class Poly2:
 
     def __init__(self, coeffs) -> None:
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        self._reversed = self.coeffs[::-1, ::-1]   # a view, see _horner
 
     @classmethod
     def zero(cls) -> "Poly2":
@@ -54,7 +58,7 @@ class Poly2:
 
     def __call__(self, x, y):
         # Horner in y inside Horner in x; floats or coordinate arrays.
-        return _horner(self.coeffs[::-1, ::-1].tolist(), x, y)
+        return _horner(self._reversed.tolist(), x, y)
 
     def deriv(self, nx: int = 0, ny: int = 0) -> "Poly2":
         return Poly2(_deriv_table(self.coeffs, (nx, ny)))
@@ -95,6 +99,7 @@ class PolyTXY:
         while c.ndim < 3:
             c = c[None, ...]
         self.coeffs = c
+        self._reversed = c[::-1, ::-1, ::-1]   # a view, see _horner
 
     @classmethod
     def constant(cls, value: float) -> "PolyTXY":
@@ -105,7 +110,7 @@ class PolyTXY:
 
     def __call__(self, t, x, y):
         """Value at a point of floats, or broadcast over coordinate arrays."""
-        return _horner(self.coeffs[::-1, ::-1, ::-1].tolist(), t, x, y)
+        return _horner(self._reversed.tolist(), t, x, y)
 
 
 def harmonic_basis(degree: int) -> list[Poly2]:

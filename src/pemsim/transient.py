@@ -8,8 +8,10 @@ the traction balance together with the kinematic condition w(S) = S - R0
 for S; this is the only closure consistent with the stationary limit, where
 the same pair of conditions produces the shrink-radius cubic.  Each step
 finds S as a root of the scalar kinematic mismatch, at one banded (w, P)
-solve per evaluation: a secant iteration warm-started from the predicted
-boundary, with Brent's method on a sign-change bracket as the fallback.
+solve per evaluation: a chord step with the slope of the previous step's
+last secant pair, from the predicted boundary (or from the previous one
+while the boundary is settled), then a secant iteration, with Brent's
+method on a sign-change bracket as the last resort.
 
 Discretization: front-fixing map r = r_in + (S(t) - r_in)*eta with eta in
 [0, 1], so time derivatives at fixed eta acquire the advective correction
@@ -229,8 +231,10 @@ class _Stepper:
         self.nodes = np.arange(N + 1)
         self.ls = lame_star(params)
         self._init_wp_buffers()
-        # Previous-step data, set by simulate().
-        self.t, self.S, self.Sdot = 0.0, params.R0, 0.0
+        # Previous-step data, set by simulate().  slope is dg/dS of the last
+        # free-boundary secant pair (see solve_step); before the first it is
+        # -1, the slope of g without the S-dependence of w.
+        self.t, self.S, self.Sdot, self.slope = 0.0, params.R0, 0.0, -1.0
         self.P = np.full(N + 1, params.p_a)
         self.w, self.rho, self.theta, self.V, self.rho_t, self.e = (
             np.zeros(N + 1) for _ in range(6))
@@ -414,16 +418,22 @@ class _Stepper:
     # ---- free-boundary scalar solve ---------------------------------------
 
     def solve_step(self, dt: float):
-        """Advance one step of size dt; returns (S, w, P, solves).
+        """Advance one step of size dt; returns (S, w, P, slope, solves).
 
-        The kinematic mismatch g(S) = w(S) - (S - R0) costs one (w, P) solve
-        per evaluation.  The previous boundary S_n is tried first, which
-        keeps a resting boundary exactly at rest.  Otherwise, g being smooth
-        and monotone, a secant iteration starts from the predicted boundary
-        S_n + Sdot_n*dt and accepts at |g| <= tol_g.  If |g| fails to halve,
-        turns non-finite or the iterate leaves [s_min, s_max], Brent's
-        method takes over on the tightest sign change seen so far, or on one
-        found by expanding probes from S_n.
+        The kinematic mismatch g(S) = w(S) - (S - R0) is smooth and
+        decreasing in S and costs one (w, P) solve per evaluation.  The
+        iteration starts at the predicted boundary S_n + Sdot_n*dt when
+        that move shifts g by more than tol_g under the slope carried from
+        the previous step, and at S_n otherwise, which keeps a settled
+        boundary exactly at rest.  Its second point is the chord step from
+        the first with that slope (-1 on a run's first step, which so steps
+        from S_n to S_n + g(S_n)), and a secant iteration continues from
+        there, accepting at |g| <= tol_g.  If |g| fails to halve, turns
+        non-finite or the iterate leaves [s_min, s_max], Brent's method
+        takes over on the tightest sign change seen so far, or on one found
+        by expanding probes from the first point.  The slope returned is
+        that of the last secant pair, or the carried one when the step ends
+        without a pair; simulate carries it once it accepts the step.
         """
         t_new = self.t + dt
         R0 = self.params.R0
@@ -439,9 +449,9 @@ class _Stepper:
                 cache[S] = self.solve_wp(S, dt, t_new)
             return float(cache[S][0][-1]) - (S - R0)
 
-        def finish(S: float):
+        def finish(S: float, slope: float = self.slope):
             w, P = cache[S]
-            return S, w, P, len(cache)
+            return S, w, P, slope, len(cache)
 
         def probe_bracket():
             # g decreases in S for this closure, so the root lies on the side
@@ -461,21 +471,19 @@ class _Stepper:
                     step *= 1.7
             return None
 
+        slope, move = self.slope, self.Sdot * dt
         s0 = self.S
+        if abs(move * slope) > tol_g:
+            s0 += move
         g0 = g(s0)
         if abs(g0) <= tol_g:
             return finish(s0)
 
-        # Secant iteration from the predicted boundary; a boundary at rest
-        # predicts itself, so it takes the unit-slope step s0 + g0 instead.
-        s_prev, g_prev = s0, g0
-        s_next = s0 + self.Sdot * dt
-        if s_next == s0:
-            s_next = s0 + g0
+        s_prev, g_prev, s_next = s0, g0, s0 - g0 / slope
         while s_min <= s_next <= s_max:
             g_next = g(s_next)
             if abs(g_next) <= tol_g:
-                return finish(s_next)
+                return finish(s_next, (g_next - g_prev) / (s_next - s_prev))
             if not abs(g_next) <= 0.5 * abs(g_prev):
                 break
             s_prev, g_prev, s_next = s_next, g_next, s_next - g_next * (
@@ -629,7 +637,7 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
         halvings = 0
         while True:
             try:
-                S_new, w_new, P_new, _ = st.solve_step(dt)
+                S_new, w_new, P_new, slope, _ = st.solve_step(dt)
                 rho_new, theta_new, V_new, e_new = st.advance_transport(
                     S_new, dt, w_new)
                 break
@@ -652,7 +660,7 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
         }
         st.rho_t = d_rho / dt
         st.t = st.t + dt if remaining - dt > slack else config.t_end
-        st.S, st.Sdot, st.w, st.P = S_new, Sdot, w_new, P_new
+        st.S, st.Sdot, st.slope, st.w, st.P = S_new, Sdot, slope, w_new, P_new
         st.V, st.e, st.rho, st.theta = V_new, e_new, rho_new, theta_new
         # fmin/fmax skip NaNs, as elementwise comparisons would.
         if (fmin(theta_new) <= 0.0 or fmax(theta_new) >= 1.0

@@ -364,7 +364,8 @@ class TestDeterminism:
 
 class TestColdPathWithoutScipy:
     """The closed-form and symmetry commands import no scipy; a transient
-    run loads it on its first band solve."""
+    run loads its LAPACK wrappers on the first band solve, and a default
+    run never needs the Brent fallback that would load scipy.optimize."""
 
     SCRIPT = """
 import sys
@@ -383,9 +384,9 @@ for args in (["rst"],
              ["symmetry", "--field", "polynomial"]):
     assert pemsim.cli.main(args + ["--out", out]) == 0, args
 print("cold:", scipy_modules())
-assert pemsim.cli.main(["transient", "--N", "32", "--t_end", "0.02",
-                        "--out", out]) == 0
+assert pemsim.cli.main(["transient", "--out", out]) == 0
 print("transient:", "scipy.linalg.lapack" in scipy_modules())
+print("optimize:", "scipy.optimize" in scipy_modules())
 """
 
     def test_cli_commands_load_no_scipy(self, tmp_path):
@@ -400,3 +401,4 @@ print("transient:", "scipy.linalg.lapack" in scipy_modules())
         lines = proc.stdout.splitlines()
         assert "cold: []" in lines
         assert "transient: True" in lines
+        assert "optimize: False" in lines

@@ -584,6 +584,48 @@ class TestStepGrowth:
         assert abs(grown[-1].S - fixed[-1].S) <= 1e-9
 
 
+class TestFreeBoundarySolves:
+    """The free-boundary iteration carries its slope from step to step: the
+    criterion-5 ladder and the TestCircle run take few (w, P) solves per
+    step, never fall back to Brent's method and meet the kinematic
+    condition at the root tolerance."""
+
+    CIRCLE = ModelParams.reference(F0=0.8 * math.pi)
+
+    @pytest.mark.parametrize("params, cfg, geometry, theta0, max_mean", [
+        *[pytest.param(HEAVY, SimConfig(N=N, dt=2e-3, t_end=3.0,
+                                        steady_tol=1e-8),
+                       "annulus", 0.9999, 3.2, id=f"annulus-N{N}")
+          for N in (100, 200, 400)],
+        pytest.param(CIRCLE, SimConfig(N=96, dt=2e-3, t_end=20.0,
+                                       steady_tol=1e-9),
+                     "circle", 0.7, 2.8, id="circle"),
+    ])
+    def test_solves_per_step(self, monkeypatch, params, cfg, geometry,
+                             theta0, max_mean):
+        brent_calls, solves = [], []
+        brentq, solve_step = transient.brentq, _Stepper.solve_step
+
+        def counted_brentq(*args, **kwargs):
+            brent_calls.append(args[1:3])
+            return brentq(*args, **kwargs)
+
+        def counted_solve_step(self, dt):
+            result = solve_step(self, dt)
+            solves.append(result[-1])
+            return result
+
+        monkeypatch.setattr(transient, "brentq", counted_brentq)
+        monkeypatch.setattr(_Stepper, "solve_step", counted_solve_step)
+        states = simulate(params, cfg, geometry=geometry, theta0=theta0)
+        assert max(states[-1].rate_norms.values()) <= cfg.steady_tol
+        assert brent_calls == []
+        assert np.mean(solves) <= max_mean, (np.mean(solves), len(solves))
+        tol = 1e-12 * max(params.R0, 1.0)
+        for s in states:
+            assert abs(s.w[-1] - (s.S - params.R0)) <= tol, s.t
+
+
 class TestUnloadedEquilibrium:
     def test_zero_load_holds_rest_state(self):
         p = ModelParams.reference(F0=0.0)
