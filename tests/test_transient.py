@@ -590,15 +590,13 @@ class TestFreeBoundarySolves:
     step, never fall back to Brent's method and meet the kinematic
     condition at the root tolerance."""
 
-    CIRCLE = ModelParams.reference(F0=0.8 * math.pi)
-
     @pytest.mark.parametrize("params, cfg, geometry, theta0, max_mean", [
         *[pytest.param(HEAVY, SimConfig(N=N, dt=2e-3, t_end=3.0,
                                         steady_tol=1e-8),
                        "annulus", 0.9999, 3.2, id=f"annulus-N{N}")
           for N in (100, 200, 400)],
-        pytest.param(CIRCLE, SimConfig(N=96, dt=2e-3, t_end=20.0,
-                                       steady_tol=1e-9),
+        pytest.param(TestStepGrowth.CIRCLE,
+                     SimConfig(N=96, dt=2e-3, t_end=20.0, steady_tol=1e-9),
                      "circle", 0.7, 2.8, id="circle"),
     ])
     def test_solves_per_step(self, monkeypatch, params, cfg, geometry,
