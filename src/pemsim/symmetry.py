@@ -302,6 +302,17 @@ def verify_displacement_symmetry_aniso(G1: Poly2, G2: Poly2,
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 
+def _null_space(M: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the null space of M, by the SVD rank rule
+    of scipy.linalg.null_space: singular values at most s.max() * eps *
+    max(M.shape) count as zero.  The columns are scipy's bit for bit, and
+    are stored row by row as scipy's are, so products with them round alike.
+    """
+    _, s, vh = np.linalg.svd(M)
+    rank = np.count_nonzero(s > s.max() * np.finfo(s.dtype).eps * max(M.shape))
+    return vh[rank:].T.copy()
+
+
 def random_displacement_symmetry_aniso(moduli: AnisotropicModuli,
                                        rng: np.random.Generator
                                        ) -> tuple[Poly2, Poly2]:
@@ -313,14 +324,12 @@ def random_displacement_symmetry_aniso(moduli: AnisotropicModuli,
     elastic force of each unit coefficient.  A random null-space
     combination provides them; the affine part is free.
     """
-    import scipy.linalg
-
     # The second derivatives (u1_xx, u1_yy, u1_xy, u2_xx, u2_yy, u2_xy) of
     # the pair are (2a1, 2c1, b1, 2a2, 2c2, b2).
     a1, b1, c1, a2, b2, c2 = np.eye(6)
     M = np.array(_elastic_force(moduli, 2.0 * a1, 2.0 * c1, b1,
                                 2.0 * a2, 2.0 * c2, b2))
-    null = scipy.linalg.null_space(M)
+    null = _null_space(M)
     coeff = null @ rng.uniform(-1.0, 1.0, size=null.shape[1])
     a1, b1, c1, a2, b2, c2 = coeff
     lin1, lin2 = rng.uniform(-1.0, 1.0, size=(2, 3))

@@ -35,8 +35,12 @@ steps grow across its tail until the estimate holds them (see simulate).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +175,37 @@ def fd2(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-_lapack = None  # scipy.linalg.lapack, bound by the first solve_banded call
+# scipy's LAPACK wrappers (the scipy.linalg._flapack extension, or the
+# scipy.linalg.lapack module that re-exports them), bound by the first
+# solve_banded call.
+_lapack = None
+
+
+def _load_lapack():
+    """scipy.linalg._flapack, loaded from its file without scipy.linalg.
+
+    On a 2-vCPU machine the scipy.linalg package import takes about 0.2 s,
+    and scipy with the extension alone about 15 ms.  A missing file or a
+    failed load falls back to the package's lapack module, which wraps the
+    same routines.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        spec = importlib.util.spec_from_file_location(name, stem + suffix)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:    # no such file, or not a loadable extension
+            continue
+        sys.modules[name] = module
+        return module
+    from scipy.linalg import lapack
+    return lapack
 
 
 def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray,
@@ -181,11 +215,12 @@ def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray,
     The storage and the checks are those of scipy.linalg.solve_banded, and so
     is the LAPACK call, which keeps its results bit for bit: a (1, 1) band
     goes to dgtsv, any other to dgbsv on a copy of ab below l zero rows.  The
-    inputs are not modified.  scipy is loaded by the first call.
+    inputs are not modified.  The first call loads scipy's _flapack
+    extension, and no other part of scipy.linalg.
     """
     global _lapack
     if _lapack is None:
-        from scipy.linalg import lapack as _lapack
+        _lapack = _load_lapack()
 
     l, u = l_and_u
     if ab.shape != (l + u + 1, len(b)):
@@ -590,11 +625,11 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
     ``MAX_DT_DOUBLINGS``: ``config.dt`` is the smallest step the controller
     picks, not the largest.  The first two steps, every step that starts
     before the last kink of the load (a finite ``load_end``, else
-    ``load_ramp``) and the step after a halved retry take ``config.dt``, so
-    no grown step crosses a kink.  After any other accepted step, the Milne
-    estimate of its local error sets the next size.  Per variable y = w, P
-    and S, with y_pred the linear extrapolation of the previous step, the
-    ratio
+    ``load_ramp``; a start within rounding of it is at it) and the step
+    after a halved retry take ``config.dt``, so no grown step crosses a
+    kink.  After any other accepted step, the Milne estimate of its local
+    error sets the next size.  Per variable y = w, P and S, with y_pred the
+    linear extrapolation of the previous step, the ratio
 
         dt / (dt + dt_prev) * max|y_new - y_pred| / max|y_new - y_old|
 
@@ -623,7 +658,8 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
     # t sums its steps, so it meets t_end only to rounding: a step that ends
     # within this slack of t_end is the last one and ends at t_end exactly.
     slack = 1e-12 * config.t_end
-    # Steps that start before the last kink of the load stay at config.dt.
+    # Steps that start before the last kink of the load stay at config.dt; a
+    # t within the slack of the kink has reached it, however it rounded.
     # The load is 0 after load_end, so a ramp ending later is no kink.
     kink = config.load_end if config.load_end < math.inf else config.load_ramp
     step_index = doublings = 0
@@ -678,7 +714,7 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
             break
 
         # The size of the next step, from the Milne estimate of this one.
-        if halvings or st.t < kink or prev is None:
+        if halvings or st.t < kink - slack or prev is None:
             doublings = 0
         else:
             dt_prev, dw_prev, dP_prev, dS_prev = prev

@@ -363,9 +363,11 @@ class TestDeterminism:
 
 
 class TestColdPathWithoutScipy:
-    """The closed-form and symmetry commands import no scipy; a transient
-    run loads its LAPACK wrappers on the first band solve, and a default
-    run never needs the Brent fallback that would load scipy.optimize."""
+    """The closed-form and symmetry commands import no scipy.  A transient
+    run loads scipy's _flapack extension on the first band solve and no
+    other part of scipy.linalg, the anisotropic generator draw runs on
+    numpy, and a default run never needs the Brent fallback that would load
+    scipy.optimize."""
 
     SCRIPT = """
 import sys
@@ -385,7 +387,14 @@ for args in (["rst"],
     assert pemsim.cli.main(args + ["--out", out]) == 0, args
 print("cold:", scipy_modules())
 assert pemsim.cli.main(["transient", "--out", out]) == 0
-print("transient:", "scipy.linalg.lapack" in scipy_modules())
+import numpy as np
+from pemsim.core import AnisotropicModuli
+from pemsim.symmetry import random_displacement_symmetry_aniso
+random_displacement_symmetry_aniso(
+    AnisotropicModuli(e11=3.0, e22=2.0, e33=1.0, e12=0.7, e13=0.4, e23=0.2),
+    np.random.default_rng(0))
+print("flapack:", "scipy.linalg._flapack" in scipy_modules())
+print("linalg:", "scipy.linalg" in scipy_modules())
 print("optimize:", "scipy.optimize" in scipy_modules())
 """
 
@@ -400,5 +409,6 @@ print("optimize:", "scipy.optimize" in scipy_modules())
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert "cold: []" in lines
-        assert "transient: True" in lines
+        assert "flapack: True" in lines
+        assert "linalg: False" in lines
         assert "optimize: False" in lines

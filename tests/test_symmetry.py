@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
+from pemsim import symmetry
 from pemsim.core import AnisotropicModuli, ModelParams, lame_star
 from pemsim.fields import (DerivativeUnavailableError, random_polynomial_field,
                            sample_grid)
@@ -95,6 +99,39 @@ class TestGenerators:
         for _ in range(25):
             G1, G2 = random_displacement_symmetry_aniso(moduli, rng)
             assert verify_displacement_symmetry_aniso(G1, G2, moduli) <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(moduli=hst.builds(
+               AnisotropicModuli,
+               e11=hst.floats(0.1, 10.0), e22=hst.floats(0.1, 10.0),
+               e33=hst.floats(0.1, 10.0), e12=hst.floats(0.0, 5.0),
+               e13=hst.floats(0.0, 5.0), e23=hst.floats(0.0, 5.0)),
+           seed=hst.integers(0, 2**32 - 1))
+    @example(moduli=AnisotropicModuli.isotropic(PARAMS.lam, PARAMS.mu),
+             seed=9)
+    @example(moduli=AnisotropicModuli(e11=3.0, e22=2.0, e33=1.0, e12=0.7,
+                                      e13=0.4, e23=0.2), seed=9)
+    def test_aniso_null_space_matches_scipy(self, moduli, seed):
+        # The numpy null space is scipy.linalg.null_space bit for bit, so
+        # the draw is the one the scipy version made.
+        seen = []
+
+        def scipy_null_space(M):
+            seen.append(M)
+            return scipy.linalg.null_space(M)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(symmetry, "_null_space", scipy_null_space)
+            expected = random_displacement_symmetry_aniso(
+                moduli, np.random.default_rng(seed))
+        (M,) = seen
+        assert np.array_equal(symmetry._null_space(M),
+                              scipy.linalg.null_space(M))
+        G1, G2 = random_displacement_symmetry_aniso(
+            moduli, np.random.default_rng(seed))
+        assert np.array_equal(G1.coeffs, expected[0].coeffs)
+        assert np.array_equal(G2.coeffs, expected[1].coeffs)
+        assert verify_displacement_symmetry_aniso(G1, G2, moduli) <= 1e-12
 
     def test_aniso_residual_rejects_wrong_pair(self):
         moduli = AnisotropicModuli(e11=3.0, e22=2.0, e33=1.0, e12=0.7,

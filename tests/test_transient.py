@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.machinery
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -266,6 +268,38 @@ class TestSolveBanded:
         x = transient.solve_banded(l_and_u, ab, b)
         assert np.array_equal(ab, ab_in) and np.array_equal(b, b_in)
         assert np.array_equal(x, scipy.linalg.solve_banded(l_and_u, ab, b))
+
+    @pytest.mark.parametrize("failure", ["missing", "not an extension"])
+    def test_fallback_solves_bit_equal(self, failure, monkeypatch, tmp_path):
+        # The extension loaded from its file, and the package's lapack
+        # module that a failed load falls back to, solve alike.
+        bands = {l_and_u: self.band(5, 40, l_and_u)
+                 for l_and_u in [(5, 4), (1, 1)]}
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(transient, "_lapack", None)
+        direct = {k: transient.solve_banded(k, *v) for k, v in bands.items()}
+        assert transient._lapack is sys.modules["scipy.linalg._flapack"]
+        assert transient._lapack is not scipy.linalg.lapack._flapack
+
+        if failure == "missing":
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                                [".missing.so"])
+        else:
+            (tmp_path / "linalg").mkdir()
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                (tmp_path / "linalg" / f"_flapack{suffix}").write_bytes(
+                    b"\0" * 64)
+            monkeypatch.setattr(scipy, "__file__",
+                                str(tmp_path / "__init__.py"))
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(transient, "_lapack", None)
+        fallback = {k: transient.solve_banded(k, *v)
+                    for k, v in bands.items()}
+        assert transient._lapack is scipy.linalg.lapack
+        for l_and_u, (ab, b) in bands.items():
+            assert np.array_equal(direct[l_and_u], fallback[l_and_u])
+            assert np.array_equal(direct[l_and_u],
+                                  scipy.linalg.solve_banded(l_and_u, ab, b))
 
     @pytest.mark.parametrize("l_and_u", [(5, 4), (1, 1)])
     @pytest.mark.parametrize("target", ["ab", "b"])
@@ -582,6 +616,29 @@ class TestStepGrowth:
         fixed = self._fixed(HEAVY, cfg, theta0=0.9999)
         assert len(grown) <= len(fixed)
         assert abs(grown[-1].S - fixed[-1].S) <= 1e-9
+
+
+class TestTimeScaling:
+    """Scaling k by s and every time by 1/s is the same run on a faster
+    clock: the twin takes the same steps, scaled, and the same boundary."""
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_twin_takes_the_same_steps(self, s):
+        # At s = 3 the base run's t after 25 steps rounds just above the
+        # ramp's end and the twin's just below it.
+        cfg = SimConfig(N=100, dt=2e-3, t_end=0.2, steady_tol=1e-8,
+                        load_ramp=0.05, output_every=1)
+        twin = dataclasses.replace(
+            cfg, dt=cfg.dt / s, t_end=cfg.t_end / s,
+            steady_tol=s * cfg.steady_tol, load_ramp=cfg.load_ramp / s)
+        base = simulate(GENTLE, cfg, theta0=0.7)
+        scaled = simulate(dataclasses.replace(GENTLE, k=s * GENTLE.k), twin,
+                          theta0=0.7)
+        assert len(scaled) == len(base)
+        steps = np.diff([st.t for st in base])
+        assert s * np.diff([st.t for st in scaled]) == pytest.approx(
+            steps, rel=1e-9)
+        assert max(abs(a.S - b.S) for a, b in zip(base, scaled)) <= 1e-11
 
 
 class TestFreeBoundarySolves:
