@@ -14,6 +14,15 @@ stencils, and radial profiles are called element by element.
 
 ``sample_grid`` samples a whole grid with one array query per component.
 
+Purity lets the polynomial source answer a repeated query from memory: for
+each (component, d) it keeps one value, that of its last query, with the
+exact bits of the point it was computed at.  A symmetry check, which asks
+the same base queries many times over, so runs each polynomial once per
+distinct query.  Memory is bounded: one kept value per (component, d) ever
+asked for, as large as that last answer.  A component is changed by
+replacing its polynomial, never by editing its coefficient array in place,
+which the derivative tables already assume.
+
 Three families cover everything the solvers and tests need:
 
 * polynomial sources with exact derivatives (manufactured fields),
@@ -26,6 +35,7 @@ Three families cover everything the solvers and tests need:
 from __future__ import annotations
 
 import math
+import struct
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -81,25 +91,55 @@ def _split_query(point: Sequence[float | np.ndarray], d: Sequence[int] | None,
     return point, d
 
 
+_float_bits = struct.Struct("d").pack
+
+
+def _point_key(point: tuple) -> tuple:
+    """Exact-bits key of a split point: shape and bytes of each array, the
+    bit pattern of each float, so -0.0 and 0.0 differ and a NaN matches."""
+    return tuple([(v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+                  else _float_bits(v) for v in point])
+
+
 class PolyFieldSource:
-    """Components given by trivariate polynomials in (t, x, y), exactly."""
+    """Components given by trivariate polynomials in (t, x, y), exactly.
+
+    Each (component, d) keeps its derivative table and the value of its
+    last query, keyed by that query's point (see ``_point_key``).  The same
+    query again returns the kept value, a fresh copy for arrays, without
+    running the polynomial.  So memory per (component, d) is one table, one
+    value and the coordinates of one point; a ``sample_grid`` keeps one
+    grid-sized array per component.  Both caches rely on components being
+    replaced, ``components[name] = PolyTXY(...)``, never edited in place.
+    """
 
     ndim = 3
 
     def __init__(self, components: Mapping[str, PolyTXY]) -> None:
         self.components = dict(components)
-        # (component, d) -> (polynomial, its derivative); the polynomial is
-        # kept so that a component replaced in place is differentiated anew.
-        self._derived: dict[tuple[str, tuple[int, ...]], tuple[PolyTXY, PolyTXY]] = {}
+        # (component, d) -> [polynomial, its derivative, point key, value];
+        # the polynomial is kept so that a replaced component is
+        # differentiated and evaluated anew.
+        self._derived: dict[tuple[str, tuple[int, ...]], list] = {}
+        # Key of the last query's point: the entries at one point share one
+        # key object, which keeps a source with many entries small.
+        self._key: tuple | None = None
 
     def eval(self, component: str, point: Sequence[float | np.ndarray],
              d: Sequence[int] | None = None) -> float | np.ndarray:
         point, d = _split_query(point, d, self.ndim)
         poly = self.components[component]
+        key = _point_key(point)
+        if key == self._key:
+            key = self._key
+        self._key = key
         derived = self._derived.get((component, d))
         if derived is None or derived[0] is not poly:
-            derived = self._derived[component, d] = (poly, poly.deriv(d))
-        return derived[1](*point)
+            derived = self._derived[component, d] = [poly, poly.deriv(d), None, None]
+        if derived[2] != key:
+            derived[2:] = key, derived[1](*point)
+        value = derived[3]
+        return value.copy(order="K") if isinstance(value, np.ndarray) else value
 
 
 def _stencil(order: int, i: int, n: int, h: float) -> tuple[list[int], list[float]]:
@@ -312,6 +352,8 @@ class RadialCartesianSource:
     def eval(self, component: str, point: Sequence[float],
              d: Sequence[int] | None = None) -> float:
         point, d = _split_query(point, d, self.ndim)
+        if component not in self._const and component not in ("p", "u1", "u2"):
+            raise KeyError(component)
         nt, nx, ny = d
         if nx + ny > 2:
             raise DerivativeUnavailableError("space order above 2 not available")
@@ -340,8 +382,6 @@ class RadialCartesianSource:
             if (nx, ny) == (0, 2):
                 return d2P * (y * y) / r2 + dP * (1.0 / r - y * y / r3)
             return d2P * x * y / r2 - dP * x * y / r3
-        if component not in ("u1", "u2"):
-            raise KeyError(component)
         # u1 = g(r) x with g = w/r; u2 mirrors with x and y swapped.
         w, dw, d2w = (_elementwise(f, r) for f in self._w)
         g = w / r

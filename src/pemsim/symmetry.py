@@ -387,7 +387,10 @@ def check_invariance(element: GroupElement, field: FieldSource,
     The points go in one residual call per side, as coordinate arrays; the
     operator is elementwise and the norms are maxima, so the report equals
     a loop over single points bit for bit.  ``points`` must be non-empty
-    and ``rtol`` in [0, inf).
+    and ``rtol`` in [0, inf).  Repeated checks on one polynomial field
+    reuse its base-side values: the source keeps its last answer per
+    (component, d), so the unmoved residual and the base queries at
+    unmoved points run no polynomial again.
 
     ``moduli`` defaults to the isotropic embedding of ``params``.  When the
     caller supplies moduli, the rotation is excluded, since it is a

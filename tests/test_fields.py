@@ -199,6 +199,14 @@ class TestRadialCartesianSource:
         assert src.eval("u1", (0.5, 1.0, 0.5), (1, 0, 0)) == 0.0
         assert src.eval("p", (0.5, 1.0, 0.5), (2, 0, 0)) == 0.0
 
+    @pytest.mark.parametrize("d", [(0, 0, 0), (1, 0, 0), (2, 1, 1), (0, 3, 0)])
+    def test_unknown_component(self, d):
+        src = RadialCartesianSource(
+            (lambda r: r, lambda r: 1.0, lambda r: 0.0),
+            (lambda r: 1.0, lambda r: 0.0, lambda r: 0.0))
+        with pytest.raises(KeyError):
+            src.eval("bogus", (0.1, 1.2, 0.3), d)
+
     def test_origin_rejected(self):
         src = RadialCartesianSource(
             (lambda r: r, lambda r: 1.0, lambda r: 0.0),
