@@ -14,6 +14,13 @@ stencils, and radial profiles are called element by element.
 
 ``sample_grid`` samples a whole grid with one array query per component.
 
+A residual operator splits its point once per call: it validates the
+coordinates, turns them into floats or float arrays, and passes that split
+point to each of its queries.  The sources take it as it is, and its
+exact-bits key (below) is computed once per call too.  Any other point,
+a plain tuple included, is split by each query anew, so an array that its
+caller changes in place between two calls is read afresh.
+
 Purity lets the polynomial source answer a repeated query from memory: for
 each (component, d) it keeps one value, that of its last query, with the
 exact bits of the point it was computed at.  A symmetry check, which asks
@@ -34,6 +41,7 @@ Three families cover everything the solvers and tests need:
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from typing import Callable, Mapping, Protocol, Sequence
@@ -78,19 +86,6 @@ class FieldSource(Protocol):
         ...
 
 
-def _split_query(point: Sequence[float | np.ndarray], d: Sequence[int] | None,
-                 ndim: int):
-    point = tuple([v.astype(float, copy=False) if isinstance(v, np.ndarray)
-                   else float(v) for v in point])
-    if len(point) != ndim:
-        raise DerivativeUnavailableError(
-            f"expected a {ndim}-coordinate point, got {len(point)}")
-    d = (0,) * ndim if d is None else tuple([int(v) for v in d])
-    if len(d) != ndim or min(d, default=0) < 0:
-        raise DerivativeUnavailableError(f"bad derivative multi-index {d}")
-    return point, d
-
-
 _float_bits = struct.Struct("d").pack
 
 
@@ -99,6 +94,40 @@ def _point_key(point: tuple) -> tuple:
     bit pattern of each float, so -0.0 and 0.0 differ and a NaN matches."""
     return tuple([(v.shape, v.tobytes()) if isinstance(v, np.ndarray)
                   else _float_bits(v) for v in point])
+
+
+class _Point(tuple):
+    """A split point: its coordinates as floats or float arrays.
+
+    Only ``_split_point`` makes one.  A residual operator splits its point
+    once and passes the result to every query, and the sources take it as
+    it is; a plain tuple is split anew by every query.  ``key`` is its
+    ``_point_key``, computed on first use and kept: the point lives for one
+    residual call, while its arrays cannot change.
+    """
+
+    @functools.cached_property
+    def key(self) -> tuple:
+        return _point_key(self)
+
+
+def _split_point(point: Sequence[float | np.ndarray], ndim: int) -> _Point:
+    if type(point) is not _Point:
+        point = _Point([v.astype(float, copy=False) if isinstance(v, np.ndarray)
+                        else float(v) for v in point])
+    if len(point) != ndim:
+        raise DerivativeUnavailableError(
+            f"expected a {ndim}-coordinate point, got {len(point)}")
+    return point
+
+
+def _split_query(point: Sequence[float | np.ndarray], d: Sequence[int] | None,
+                 ndim: int):
+    point = _split_point(point, ndim)
+    d = (0,) * ndim if d is None else tuple([int(v) for v in d])
+    if len(d) != ndim or min(d, default=0) < 0:
+        raise DerivativeUnavailableError(f"bad derivative multi-index {d}")
+    return point, d
 
 
 class PolyFieldSource:
@@ -129,7 +158,7 @@ class PolyFieldSource:
              d: Sequence[int] | None = None) -> float | np.ndarray:
         point, d = _split_query(point, d, self.ndim)
         poly = self.components[component]
-        key = _point_key(point)
+        key = point.key
         if key == self._key:
             key = self._key
         self._key = key
@@ -313,7 +342,10 @@ class ProfileSource:
 
     def __init__(self, profiles: Mapping[str, _Profile | float],
                  ndim: int = 2) -> None:
-        self.profiles = dict(profiles)
+        # Numpy scalars become floats here, so a query tells constants from
+        # profile triples by type.
+        self.profiles = {name: float(prof) if isinstance(prof, np.number)
+                         else prof for name, prof in profiles.items()}
         self.ndim = ndim
 
     def eval(self, component: str, point: Sequence[float],
@@ -323,7 +355,7 @@ class ProfileSource:
         order_r = d[1]
         if sum(d) > order_r:
             return 0.0
-        if np.isscalar(prof):
+        if isinstance(prof, (float, int)):
             return float(prof) if order_r == 0 else 0.0
         if order_r > 2:
             raise DerivativeUnavailableError(

@@ -21,12 +21,24 @@ def _horner(rows: list, v, *rest):
     sources keep thousands of derivative tables alive.  An array query runs
     the same multiplies and adds at each element as a float query at that
     node, so the two round alike for every table shape; a single row still
-    enters as ``0.0 * v + row``, for the broadcast shape.
+    enters as ``0.0 * v + row``, for the broadcast shape.  The innermost
+    level runs in line, with the same steps as a call would take, so a
+    (3, 3, 3) table takes 4 calls, not 13.
     """
     acc = None
-    for row in rows:
-        term = _horner(row, *rest) if rest else row
-        acc = term if acc is None else acc * v + term
+    if len(rest) == 1:
+        (w,) = rest
+        for row in rows:
+            term = None
+            for c in row:
+                term = c if term is None else term * w + c
+            if len(row) == 1:
+                term = 0.0 * w + term
+            acc = term if acc is None else acc * v + term
+    else:
+        for row in rows:
+            term = _horner(row, *rest) if rest else row
+            acc = term if acc is None else acc * v + term
     return acc if len(rows) > 1 else 0.0 * v + acc
 
 

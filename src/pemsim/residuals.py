@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AnisotropicModuli, ModelParams, lame_star, mixture_fields
-from .fields import FieldSource
+from .fields import FieldSource, _split_point
 
 __all__ = [
     "ResidualVector",
@@ -104,6 +104,7 @@ def residual_cartesian_aniso(field: FieldSource, moduli: AnisotropicModuli,
     substituted internally, so the field only supplies the primitive
     components.
     """
+    point = _split_point(point, 3)
     e = field.eval
     s1, k, D, S = params.sigma1, params.k, params.D, params.S_sieve
     u1_t = e("u1", point, (1, 0, 0))
@@ -164,6 +165,7 @@ def residual_radial_full(field: FieldSource, params: ModelParams,
     counterparts under the coordinate transform; the momentum pair equals
     the rotated Cartesian momentum residuals.
     """
+    point = _split_point(point, 3)
     t, r, phi = point
     if r <= 0.0:
         raise ValueError("polar residuals are singular at r <= 0")
@@ -245,6 +247,7 @@ def residual_ring(field: FieldSource, params: ModelParams,
     Four equations (volume balance, radial momentum, density, porosity);
     tangential displacement and solute are absent by the radial ansatz.
     """
+    point = _split_point(point, 2)
     t, r = point
     if r <= 0.0:
         raise ValueError("ring residuals are singular at r <= 0")

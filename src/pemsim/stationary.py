@@ -64,12 +64,12 @@ class StationarySolution:
         return -self.C0 / r**2
 
     def displacement(self, r: float) -> float:
-        a = self.C0 / (2.0 * self.lam_star)
-        return a * r * math.log(r) + self.C1 * r + self.Cm1 / r
+        return _displacement(self.C0 / (2.0 * self.lam_star), self.C1,
+                             self.Cm1, r, math.log(r))
 
     def displacement_r(self, r: float) -> float:
-        a = self.C0 / (2.0 * self.lam_star)
-        return a * (math.log(r) + 1.0) + self.C1 - self.Cm1 / r**2
+        return _displacement_r(self.C0 / (2.0 * self.lam_star), self.C1,
+                               self.Cm1, r, math.log(r))
 
     def displacement_rr(self, r: float) -> float:
         a = self.C0 / (2.0 * self.lam_star)
@@ -109,6 +109,47 @@ class StationarySolution:
                                      rho=rho, thetaF=thetaF)
 
 
+# The formulas that rst_dirichlet evaluates for each trial radius without
+# building a StationarySolution; log_r is math.log(r), taken by the caller.
+
+def _displacement(a: float, C1: float, Cm1: float, r: float,
+                  log_r: float) -> float:
+    """w(r) for a = C0/(2*lam_star)."""
+    return a * r * log_r + C1 * r + Cm1 / r
+
+
+def _displacement_r(a: float, C1: float, Cm1: float, r: float,
+                    log_r: float) -> float:
+    """w'(r) for a = C0/(2*lam_star)."""
+    return a * (log_r + 1.0) + C1 - Cm1 / r**2
+
+
+def _dirichlet_coefficients(params: ModelParams, ls: float, log_r0: float,
+                            r_st: float, log_r_st: float
+                            ) -> tuple[float, float, float]:
+    """(C0, C1, Cm1) of the Dirichlet stationary state at steady radius r_st."""
+    r0, R0 = params.r0, params.R0
+    # Both pressure conditions fix C0 without dividing by ln(r0), which
+    # keeps r0 = 1 regular.
+    C0 = (params.p_a - params.p_st) / math.log(r0 / r_st)
+    a = C0 / (2.0 * ls)
+    C1 = ((r_st - R0 - a * (r_st * log_r_st - r0**2 / r_st * log_r0))
+          * r_st / (r_st**2 - r0**2))
+    Cm1 = -(a * log_r0 + C1) * r0**2
+    return C0, C1, Cm1
+
+
+def _traction_terms(ls: float, params: ModelParams, C0: float, C1: float,
+                    Cm1: float, r: float, log_r: float
+                    ) -> tuple[float, float, float]:
+    """The load balance's terms at radius r: lam_star*w', (lam/r)*w and
+    F0/(2*pi*r)."""
+    a = C0 / (2.0 * ls)
+    return (ls * _displacement_r(a, C1, Cm1, r, log_r),
+            params.lam / r * _displacement(a, C1, Cm1, r, log_r),
+            params.F0 / (2.0 * math.pi * r))
+
+
 def _check_r_st(r_st: float, r0: float) -> None:
     if not r0 < r_st < math.inf:
         raise ValueError(
@@ -119,20 +160,13 @@ def _check_r_st(r_st: float, r0: float) -> None:
 def dirichlet_solution(params: ModelParams, r_st: float) -> StationarySolution:
     """Stationary state with interior Dirichlet data P=p_a, w=0 at r0 and
     P=p_st, w=r_st-R0 at the steady outer radius."""
-    r0, R0 = params.r0, params.R0
-    _check_r_st(r_st, r0)
+    _check_r_st(r_st, params.r0)
     ls = lame_star(params)
-    # Both pressure conditions fix C0 without dividing by ln(r0), which
-    # keeps r0 = 1 regular.
-    C0 = (params.p_a - params.p_st) / math.log(r0 / r_st)
-    P0 = params.p_a - C0 * math.log(r0)
-    a = C0 / (2.0 * ls)
-    C1 = ((r_st - R0 - a * (r_st * math.log(r_st)
-                            - r0**2 / r_st * math.log(r0)))
-          * r_st / (r_st**2 - r0**2))
-    Cm1 = -(a * math.log(r0) + C1) * r0**2
-    return StationarySolution(P0=P0, C0=C0, C1=C1, Cm1=Cm1,
-                              lam_star=ls, case="dirichlet")
+    log_r0 = math.log(params.r0)
+    C0, C1, Cm1 = _dirichlet_coefficients(params, ls, log_r0, r_st,
+                                          math.log(r_st))
+    return StationarySolution(P0=params.p_a - C0 * log_r0, C0=C0, C1=C1,
+                              Cm1=Cm1, lam_star=ls, case="dirichlet")
 
 
 def neumann_solution(params: ModelParams, r_st: float) -> StationarySolution:
@@ -155,9 +189,9 @@ def boundary_traction_mismatch(solution: StationarySolution, r: float,
     Zero when the elastic radial traction equals the applied line load
     spread over the circumference: lam_star*w' + (lam/r)*w + F0/(2*pi*r).
     """
-    return (solution.lam_star * solution.displacement_r(r)
-            + params.lam / r * solution.displacement(r)
-            + params.F0 / (2.0 * math.pi * r))
+    t1, t2, t3 = _traction_terms(solution.lam_star, params, solution.C0,
+                                 solution.C1, solution.Cm1, r, math.log(r))
+    return t1 + t2 + t3
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,
@@ -247,7 +281,13 @@ def rst_cubic(params: ModelParams) -> RstReport:
     def dcubic(r: float) -> float:
         return (3.0 * a3 * r + 2.0 * a2) * r + a1
 
-    roots = np.roots([a3, a2, a1, a0])
+    # The eigenvalues of the companion matrix that np.roots builds.  Beyond
+    # that, np.roots only trims zero end coefficients, and here a3 = lam + mu
+    # > 0 and a0 < 0.  (a0 is zero only where r0*r0 underflows; there the
+    # companion's zero last column splits off the trimmed root 0 exactly.)
+    roots = np.linalg.eigvals(np.array([[-a2 / a3, -a1 / a3, -a0 / a3],
+                                        [1.0, 0.0, 0.0],
+                                        [0.0, 1.0, 0.0]]))
     real: list[float] = []
     for z in roots:
         if abs(z.imag) > 1e-8 * max(abs(z), 1.0):
@@ -326,33 +366,41 @@ def rst_dirichlet(params: ModelParams) -> DirichletRootReport:
     exhaustive sign-change scan over _DIRICHLET_SCAN_INTERVALS equal
     subintervals followed by bisection (the root count is unknown a
     priori).  Among several roots the one nearest R0 is selected.
+
+    Each trial radius s evaluates dirichlet_solution's coefficients and
+    boundary_traction_mismatch's terms directly, through the same helpers
+    and on Python floats, so it rounds like those two; ln(r0) is taken once.
     """
     if params.F0 < 0.0:
         raise ValueError("the shrink-radius analysis requires F0 >= 0")
     r0, R0 = params.r0, params.R0
+    ls = lame_star(params)
+    log_r0 = math.log(r0)
+
+    def terms(s: float) -> tuple[float, float, float]:
+        log_s = math.log(s)
+        C0, C1, Cm1 = _dirichlet_coefficients(params, ls, log_r0, s, log_s)
+        return _traction_terms(ls, params, C0, C1, Cm1, s, log_s)
 
     def mismatch(s: float) -> float:
-        return boundary_traction_mismatch(dirichlet_solution(params, s), s, params)
+        t1, t2, t3 = terms(s)
+        return t1 + t2 + t3
 
     def scale_at(s: float) -> float:
-        sol = dirichlet_solution(params, s)
-        return max(1.0,
-                   abs(sol.lam_star * sol.displacement_r(s)),
-                   abs(params.lam / s * sol.displacement(s)),
-                   params.F0 / (2.0 * math.pi * s))
+        return max(1.0, *(abs(t) for t in terms(s)))
 
-    grid = np.linspace(r0, R0, _DIRICHLET_SCAN_INTERVALS + 1)[1:]
+    grid = np.linspace(r0, R0, _DIRICHLET_SCAN_INTERVALS + 1)[1:].tolist()
     values = [mismatch(s) for s in grid]
     roots: list[float] = []
     for i in range(len(grid) - 1):
         a, b = grid[i], grid[i + 1]
         fa, fb = values[i], values[i + 1]
         if fa == 0.0:
-            roots.append(float(a))
+            roots.append(a)
         elif (fa > 0) != (fb > 0):
-            roots.append(bisect_root(mismatch, float(a), float(b)))
-    if values[-1] == 0.0 or abs(values[-1]) <= 1e-12 * scale_at(float(grid[-1])):
-        roots.append(float(grid[-1]))
+            roots.append(bisect_root(mismatch, a, b))
+    if values[-1] == 0.0 or abs(values[-1]) <= 1e-12 * scale_at(grid[-1]):
+        roots.append(grid[-1])
     if not roots:
         raise NoRootError(
             "no sign change of the traction balance on (r0, R0]; "

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import AnisotropicModuli, ModelParams
 from .fields import (DerivativeUnavailableError, FieldSource, GridFieldSource,
-                     _elementwise, _split_query)
+                     _elementwise, _Point, _split_query)
 from .polynomials import Poly2
 from .residuals import (CARTESIAN_EQUATIONS, _elastic_force,
                         residual_cartesian_aniso)
@@ -190,6 +190,10 @@ class TransformedFieldSource:
     image under the inverse element (the same kind with its parameter
     negated); only the action on the values differs by kind.  Coordinate
     arrays pass through to the base source for every kind.
+
+    The pre-image of the last split point is kept, so the queries of one
+    residual call map their point once; the base gets it split.  The
+    derivatives of a displacement shift's generators are built once each.
     """
 
     ndim = 3
@@ -198,13 +202,19 @@ class TransformedFieldSource:
         self.element = element
         self.base = base
         self._inverse = replace(element, parameter=-element.parameter)
+        self._last = (None, None)   # (split point, its split pre-image)
+        self._G_derivs: dict[tuple[str, int, int], Poly2] = {}
 
     def eval(self, component: str, point: Sequence[float | np.ndarray],
              d: Sequence[int] | None = None) -> float | np.ndarray:
         point, d = _split_query(point, d, self.ndim)
         el = self.element
         eps = el.parameter
-        pre = self._inverse.map_point(point)
+        if point is self._last[0]:
+            pre = self._last[1]
+        else:
+            pre = _Point(self._inverse.map_point(point))
+            self._last = (point, pre)
         if el.kind == "rotation":
             c, s = _trig(eps)
             if component in ("u1", "u2"):
@@ -219,8 +229,11 @@ class TransformedFieldSource:
             return val + eps * el.g.deriv(t, nt)
         if (el.kind == "displacement-shift" and nt == 0
                 and component in ("u1", "u2")):
-            G = el.G[0] if component == "u1" else el.G[1]
-            return val + eps * G.eval_deriv(x, y, nx, ny)
+            G = self._G_derivs.get((component, nx, ny))
+            if G is None:
+                G = el.G[0] if component == "u1" else el.G[1]
+                G = self._G_derivs[component, nx, ny] = G.deriv(nx, ny)
+            return val + eps * G(x, y)
         if el.kind == "concentration-scaling":
             if component == "c":
                 return math.exp(eps) * val

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from pemsim import fields, symmetry, transient
+from pemsim import fields, residuals, stationary, symmetry, transient
 from pemsim.core import ModelParams
 from pemsim.fields import random_polynomial_field
+from pemsim.polynomials import random_harmonic
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -55,6 +56,39 @@ def test_invariance_check_reaches_traced_residual_operator():
     assert counts["check_invariance"] == 1
     assert counts["residual_cartesian.poly"] == 1
     assert counts["residual_cartesian.transformed"] == 1
+
+
+def test_oracle_queries_reach_traced_eval():
+    # The four oracle elements on a polynomial field, then two ring
+    # residuals: every query is one call of a source's ``eval``, and the
+    # counts are those of one query per call.
+    params = ModelParams.reference(F0=16 * math.pi)
+    rng = np.random.default_rng(0)
+    G1, G2 = symmetry.generate_displacement_symmetry(
+        symmetry.HarmonicPotentialPair(random_harmonic(rng, 6),
+                                       random_harmonic(rng, 6)))
+    field = random_polynomial_field(rng)
+    elements = (
+        symmetry.GroupElement.pressure_shift(1.0, symmetry.TimeFunction.sine()),
+        symmetry.GroupElement.displacement_shift(1.0, G1, G2),
+        symmetry.GroupElement.concentration_scaling(1.0, params.sigma1),
+        symmetry.GroupElement.rotation(0.5 * math.pi))
+    ring = stationary.neumann_solution(
+        params, stationary.rst_cubic(params).r_st).as_ring_source()
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        for element in elements:
+            symmetry.check_invariance(element, field, params)
+        for r in (1.2, 1.4):
+            residuals.residual_ring(ring, params, (0.0, r))
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts()
+    assert {label: counts.get(label) for label in (
+        "eval.poly", "eval.transformed", "eval.profile", "deriv")} == {
+        "eval.poly": 300, "eval.transformed": 120, "eval.profile": 28,
+        "deriv": 34}
 
 
 def test_sample_grid_queries_each_component_once():

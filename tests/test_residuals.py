@@ -10,8 +10,12 @@ from pemsim.polynomials import PolyTXY
 from pemsim.residuals import (fluxes, residual_cartesian_aniso,
                               residual_cartesian_iso, residual_radial_full,
                               residual_ring, terzaghi_stress_radial)
+from pemsim.polynomials import random_harmonic
 from pemsim.stationary import dirichlet_solution, neumann_solution, rst_cubic
-from pemsim.symmetry import polar_samples_from_cartesian
+from pemsim.symmetry import (GroupElement, HarmonicPotentialPair, TimeFunction,
+                             apply_group, check_invariance,
+                             generate_displacement_symmetry,
+                             polar_samples_from_cartesian)
 
 PARAMS = ModelParams.reference(F0=16 * math.pi, p_a=0.0, p_st=1.0)
 
@@ -278,3 +282,85 @@ class TestRing:
         coarse = grid_residual(65)
         fine = grid_residual(129)
         assert 3.5 <= coarse / fine <= 4.5
+
+
+class EvalOnly:
+    """A duck-typed source: nothing but ``eval``, passed on to a base."""
+
+    def __init__(self, base):
+        self._base = base
+
+    def eval(self, component, point, d=None):
+        return self._base.eval(component, point, d)
+
+
+def residual_bits(res):
+    return {eq: (type(v), np.shape(v), np.asarray(v, dtype=float).tobytes())
+            for eq, v in res.values.items()}
+
+
+class TestEvalEntryPoint:
+    """Every residual operator reaches its field through ``eval`` alone."""
+
+    ARRAY_POINT = (np.array([0.3, 0.7, 0.5]), np.array([0.4, -1.1, 0.9]),
+                   np.array([-0.2, 0.6, 1.3]))
+
+    @pytest.mark.parametrize("kind", ["poly", "translated", "rotated",
+                                      "radial"])
+    @pytest.mark.parametrize("array", [False, True])
+    def test_cartesian_residual_through_eval_only(self, kind, array):
+        field = random_polynomial_field(np.random.default_rng(41))
+        if kind == "translated":
+            field = apply_group(GroupElement.x_translation(0.3), field)
+        elif kind == "rotated":
+            field = apply_group(GroupElement.rotation(0.7), field)
+        elif kind == "radial":
+            field = neumann_solution(PARAMS, 1.5).as_cartesian_source()
+        point = self.ARRAY_POINT if array else (0.3, 0.4, -0.2)
+        moduli = AnisotropicModuli(e11=3.0, e22=2.0, e33=1.0, e12=0.7,
+                                   e13=0.4, e23=0.2)
+        assert residual_bits(residual_cartesian_aniso(
+            EvalOnly(field), moduli, PARAMS, point)) == residual_bits(
+            residual_cartesian_aniso(field, moduli, PARAMS, point))
+
+    def test_ring_residual_through_eval_only(self):
+        sources = (dirichlet_solution(PARAMS, 1.5).as_ring_source(rho=1.2,
+                                                                  theta=0.4),
+                   GridFieldSource([None, np.linspace(1.0, 1.5, 11)], {
+                       "w": np.linspace(0.0, -0.5, 11) ** 2,
+                       "P": np.linspace(0.0, 1.0, 11), "rho": 1.0,
+                       "theta": 0.5}))
+        for src in sources:
+            for r in (1.1, 1.25, 1.4):
+                assert residual_bits(residual_ring(EvalOnly(src), PARAMS,
+                                                   (0.0, r))) == residual_bits(
+                    residual_ring(src, PARAMS, (0.0, r)))
+
+    def test_invariance_check_through_eval_only(self):
+        rng = np.random.default_rng(0)
+        G1, G2 = generate_displacement_symmetry(HarmonicPotentialPair(
+            random_harmonic(rng, 6), random_harmonic(rng, 6)))
+        field = random_polynomial_field(rng)
+        for element in (GroupElement.pressure_shift(1.0, TimeFunction.sine()),
+                        GroupElement.displacement_shift(1.0, G1, G2),
+                        GroupElement.concentration_scaling(1.0, PARAMS.sigma1),
+                        GroupElement.rotation(0.5 * math.pi)):
+            assert repr(check_invariance(element, EvalOnly(field),
+                                         PARAMS)) == repr(
+                check_invariance(element, field, PARAMS))
+
+    @pytest.mark.parametrize("kind", ["poly", "translated"])
+    def test_arrays_changed_in_place_between_calls(self, kind):
+        # Each call splits its point anew: neither the polynomial memo nor
+        # the transformed source's kept pre-image may answer from the last.
+        rng = np.random.default_rng(43)
+        field = random_polynomial_field(rng)
+        same = random_polynomial_field(np.random.default_rng(43))
+        if kind == "translated":
+            field = apply_group(GroupElement.y_translation(-0.4), field)
+            same = apply_group(GroupElement.y_translation(-0.4), same)
+        point = tuple(c.copy() for c in self.ARRAY_POINT)
+        residual_cartesian_iso(field, PARAMS, point)
+        point[1][1] = 0.25
+        assert residual_bits(residual_cartesian_iso(field, PARAMS, point)) == (
+            residual_bits(residual_cartesian_iso(same, PARAMS, point)))

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from pemsim.core import ModelParams, ParameterError
 from pemsim.residuals import residual_ring
@@ -240,3 +242,122 @@ class TestStationaryCrossChecks:
     def test_overflowing_radius_raises_no_root(self):
         with pytest.raises(NoRootError):
             rst_cubic(ModelParams.reference(F0=16 * math.pi, R0=1e200))
+
+
+# ---- plain reference forms of the two root finders -------------------------
+
+def reference_rst_dirichlet(params):
+    """rst_dirichlet's scan and bisection, written over the public
+    dirichlet_solution and boundary_traction_mismatch: one solution object
+    per trial radius, the scan on numpy floats."""
+    def mismatch(s):
+        return boundary_traction_mismatch(dirichlet_solution(params, s), s,
+                                          params)
+
+    def scale_at(s):
+        sol = dirichlet_solution(params, s)
+        return max(1.0, abs(sol.lam_star * sol.displacement_r(s)),
+                   abs(params.lam / s * sol.displacement(s)),
+                   params.F0 / (2.0 * math.pi * s))
+
+    grid = np.linspace(params.r0, params.R0, 257)[1:]
+    values = [mismatch(s) for s in grid]
+    roots = []
+    for i in range(len(grid) - 1):
+        a, b = float(grid[i]), float(grid[i + 1])
+        if values[i] == 0.0:
+            roots.append(a)
+        elif (values[i] > 0) != (values[i + 1] > 0):
+            roots.append(bisect_root(mismatch, a, b))
+    if values[-1] == 0.0 or abs(values[-1]) <= 1e-12 * scale_at(float(grid[-1])):
+        roots.append(float(grid[-1]))
+    if not roots:
+        raise NoRootError("no sign change")
+    roots = sorted(set(roots))
+    return max(roots), tuple(roots), abs(mismatch(max(roots)))
+
+
+def reference_real_roots(coefficients):
+    """rst_cubic's real roots, Newton-polished and grouped, from np.roots."""
+    a3, a2, a1, a0 = coefficients
+    real = []
+    for z in np.roots(coefficients):
+        if abs(z.imag) > 1e-8 * max(abs(z), 1.0):
+            continue
+        x = float(z.real)
+        for _ in range(50):
+            fx = ((a3 * x + a2) * x + a1) * x + a0
+            dfx = (3.0 * a3 * x + 2.0 * a2) * x + a1
+            if dfx == 0.0:
+                break
+            step = fx / dfx
+            x -= step
+            if abs(step) <= 1e-16 * max(abs(x), 1.0):
+                break
+        real.append(x)
+    grouped = []
+    for x in sorted(real):
+        if grouped and abs(x - grouped[-1][0]) <= 1e-8 * max(abs(x), 1.0):
+            grouped[-1] = (grouped[-1][0], grouped[-1][1] + 1)
+        else:
+            grouped.append((x, 1))
+    return tuple(grouped)
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+FAST_PATHS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+class TestFastPathsPinned:
+    """The root finders agree bit for bit with their plain reference forms."""
+
+    def test_golden_values(self):
+        assert rst_cubic(REFERENCE).r_st.hex() == "0x1.53b3683a367a3p+0"
+        report = rst_dirichlet(ModelParams.reference(F0=16 * math.pi,
+                                                     p_st=0.8))
+        assert hexes(report.roots) == ["0x1.4fd995141996ep+0"]
+        assert report.r_st == report.roots[0]
+
+    @FAST_PATHS
+    @given(F0=hst.floats(0.0, 16 * math.pi), p_st=hst.floats(0.0, 0.8))
+    def test_dirichlet_equals_scan_over_public_formulas(self, F0, p_st):
+        params = ModelParams.reference(F0=F0, p_st=p_st)
+        try:
+            expected = reference_rst_dirichlet(params)
+        except NoRootError:
+            with pytest.raises(NoRootError):
+                rst_dirichlet(params)
+            return
+        report = rst_dirichlet(params)
+        assert report.r_st.hex() == expected[0].hex()
+        assert hexes(report.roots) == hexes(expected[1])
+        assert report.residual.hex() == expected[2].hex()
+
+    @FAST_PATHS
+    @given(lam=hst.floats(0.2, 5.0), mu=hst.floats(0.2, 5.0),
+           r0=hst.floats(0.2, 2.0), gap=hst.floats(0.2, 3.0),
+           load=hst.floats(1.0, 4.0))
+    def test_cubic_roots_equal_np_roots(self, lam, mu, r0, gap, load):
+        R0 = r0 + gap
+        params = ModelParams.reference(lam=lam, mu=mu, r0=r0, R0=R0,
+                                       F0=4.0 * math.pi * (lam + mu) * R0 * load)
+        report = rst_cubic(params)
+        expected = reference_real_roots(report.coefficients)
+        assert [(x.hex(), m) for x, m in report.real_roots] == [
+            (x.hex(), m) for x, m in expected]
+
+    @pytest.mark.parametrize("r0, R0, F0", [(1e-170, 0.5, 0.0),
+                                            (3e-162, 0.2, 0.0),
+                                            (3e-162, 0.2, 0.5)])
+    def test_cubic_roots_where_r0_squared_underflows(self, r0, R0, F0):
+        # a0, and in the first case a1, rounds to zero here, and np.roots
+        # trims it; the companion matrix must still give the same roots.
+        params = ModelParams.reference(r0=r0, R0=R0, F0=F0)
+        report = rst_cubic(params)
+        assert report.coefficients[3] == 0.0
+        expected = reference_real_roots(report.coefficients)
+        assert [(x.hex(), m) for x, m in report.real_roots] == [
+            (x.hex(), m) for x, m in expected]
