@@ -48,10 +48,13 @@ RING_EQUATIONS = ("continuity", "momentum", "density", "porosity")
 class ResidualVector:
     """Per-equation residual values at a query point, or arrays over points.
 
-    ``max_abs`` reduces over equations and points.
+    ``max_abs`` reduces over equations and points.  ``scale``, which the
+    Cartesian operator gives, holds each row again with every term replaced
+    by its magnitude: the size that the row's rounding error grows with.
     """
 
     values: dict[str, float | np.ndarray]
+    scale: dict[str, float | np.ndarray] | None = None
 
     def __getitem__(self, equation: str) -> float | np.ndarray:
         return self.values[equation]
@@ -61,9 +64,14 @@ class ResidualVector:
         return tuple(self.values)
 
     def max_abs(self) -> float:
+        """Largest magnitude over equations and points; NaN if any is NaN."""
         # Floats stay in plain Python: most callers take one point at a time.
-        return max(abs(v) if isinstance(v, float) else float(np.max(np.abs(v)))
-                   for v in self.values.values())
+        mags = [abs(v) if isinstance(v, float) else float(np.max(np.abs(v)))
+                for v in self.values.values()]
+        # Python's max drops a NaN that does not come first.  The sum of the
+        # magnitudes is NaN exactly when one of them is.
+        total = sum(mags)
+        return max(mags) if total == total else total
 
 
 def _elastic_force(E: AnisotropicModuli, u1_xx, u1_yy, u1_xy,
@@ -131,10 +139,16 @@ def residual_cartesian_aniso(field: FieldSource, moduli: AnisotropicModuli,
     c_t = e("c", point, (1, 0, 0))
     c_x = e("c", point, (0, 1, 0))
     c_y = e("c", point, (0, 0, 1))
-    c_lap = e("c", point, (0, 2, 0)) + e("c", point, (0, 0, 2))
-    ps_x = e("p", point, (0, 1, 0)) - s1 * c_x
-    ps_y = e("p", point, (0, 0, 1)) - s1 * c_y
-    ps_lap = e("p", point, (0, 2, 0)) + e("p", point, (0, 0, 2)) - s1 * c_lap
+    c_xx = e("c", point, (0, 2, 0))
+    c_yy = e("c", point, (0, 0, 2))
+    p_x = e("p", point, (0, 1, 0))
+    p_y = e("p", point, (0, 0, 1))
+    p_xx = e("p", point, (0, 2, 0))
+    p_yy = e("p", point, (0, 0, 2))
+    c_lap = c_xx + c_yy
+    ps_x = p_x - s1 * c_x
+    ps_y = p_y - s1 * c_y
+    ps_lap = p_xx + p_yy - s1 * c_lap
 
     div_ut = u1_tx + u2_ty
     continuity = 2.0 * div_ut - k * ps_lap
@@ -150,10 +164,39 @@ def residual_cartesian_aniso(field: FieldSource, moduli: AnisotropicModuli,
     cth_y = c_y * th + c * th_y
     solute = (cth_t + u1_t * cth_x + u2_t * cth_y - D * c_lap
               - k * (S - th) * c * ps_lap - k * S * (c_x * ps_x + c_y * ps_y))
+
+    # The rows again with every term replaced by its magnitude.  k, D, S
+    # and rho_f0 are positive and no stiffness entry is negative.
+    A = abs
+    u1_t_m, u2_t_m, rho_m, th_m, c_m = A(u1_t), A(u2_t), A(rho), A(th), A(c)
+    c_x_m, c_y_m, rho_t_m, s1_m = A(c_x), A(c_y), A(rho_t), A(s1)
+    th_t_m, th_x_m, th_y_m = A(th_t), A(th_x), A(th_y)
+    div_m = A(u1_tx) + A(u2_ty)
+    c_lap_m = A(c_xx) + A(c_yy)
+    ps_x_m = A(p_x) + s1_m * c_x_m
+    ps_y_m = A(p_y) + s1_m * c_y_m
+    ps_lap_m = A(p_xx) + A(p_yy) + s1_m * c_lap_m
+    inertia_m = rho_t_m + rho_m * div_m
+    f1_m, f2_m = _elastic_force(moduli, A(u1_xx), A(u1_yy), A(u1_xy),
+                                A(u2_xx), A(u2_yy), A(u2_xy))
+    scale = {
+        "continuity": 2.0 * div_m + k * ps_lap_m,
+        "momentum1": rho_m * A(u1_tt) + u1_t_m * inertia_m + f1_m + ps_x_m,
+        "momentum2": rho_m * A(u2_tt) + u2_t_m * inertia_m + f2_m + ps_y_m,
+        "density": (rho_t_m + u1_t_m * A(rho_x) + u2_t_m * A(rho_y)
+                    + k * (params.rho_f0 + rho_m) * ps_lap_m),
+        "porosity": (th_t_m + u1_t_m * th_x_m + u2_t_m * th_y_m
+                     + k * (1.0 + th_m) * ps_lap_m),
+        "solute": (A(c_t) * th_m + c_m * th_t_m
+                   + u1_t_m * (c_x_m * th_m + c_m * th_x_m)
+                   + u2_t_m * (c_y_m * th_m + c_m * th_y_m) + D * c_lap_m
+                   + k * (S + th_m) * c_m * ps_lap_m
+                   + k * S * (c_x_m * ps_x_m + c_y_m * ps_y_m)),
+    }
     return ResidualVector({
         "continuity": continuity, "momentum1": mom1, "momentum2": mom2,
         "density": density, "porosity": porosity, "solute": solute,
-    })
+    }, scale)
 
 
 def residual_radial_full(field: FieldSource, params: ModelParams,
@@ -167,8 +210,8 @@ def residual_radial_full(field: FieldSource, params: ModelParams,
     """
     point = _split_point(point, 3)
     t, r, phi = point
-    if r <= 0.0:
-        raise ValueError("polar residuals are singular at r <= 0")
+    if not r > 0.0:
+        raise ValueError(f"polar residuals need r > 0, got r = {r}")
     e = field.eval
     k, D, S = params.k, params.D, params.S_sieve
     ls, mu = lame_star(params), params.mu
@@ -249,8 +292,8 @@ def residual_ring(field: FieldSource, params: ModelParams,
     """
     point = _split_point(point, 2)
     t, r = point
-    if r <= 0.0:
-        raise ValueError("ring residuals are singular at r <= 0")
+    if not r > 0.0:
+        raise ValueError(f"ring residuals need r > 0, got r = {r}")
     e = field.eval
     k, ls = params.k, lame_star(params)
 

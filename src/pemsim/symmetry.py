@@ -393,9 +393,13 @@ def check_invariance(element: GroupElement, field: FieldSource,
     The transformed field's residual at the mapped point must reproduce the
     original residual: unchanged for shifts and translations, scaled by
     e^eps in the solute equation for the concentration scaling, and rotated
-    as a vector in the momentum pair for rotations.  Tolerances are
-    relative to the largest residual magnitude seen (absolute for exact
-    solutions).
+    as a vector in the momentum pair for rotations.  Each row's tolerance
+    is ``rtol`` times the largest of 1, every residual norm seen and the
+    row's rounding scale: the row with every term replaced by its magnitude
+    (``ResidualVector.scale``), at its largest over the points of either
+    side.  So a large exact shift, whose terms cancel only to rounding,
+    passes, while a defect above rounding still fails; ``rtol = 0`` makes
+    every tolerance 0.
 
     The points go in one residual call per side, as coordinate arrays; the
     operator is elementwise and the norms are maxima, so the report equals
@@ -437,10 +441,13 @@ def check_invariance(element: GroupElement, field: FieldSource,
     pre_norm, post_norm, diff = (
         {eq: float(np.max(np.abs(v[eq]))) for eq in CARTESIAN_EQUATIONS}
         for v in (pre, post, {eq: post[eq] - expected[eq] for eq in expected}))
-    tol = rtol * max(1.0, *pre_norm.values(), *post_norm.values())
+    floor = max(1.0, *pre_norm.values(), *post_norm.values())
+    tol = {eq: rtol * max(floor, float(np.max(np.maximum(pre.scale[eq],
+                                                         post.scale[eq]))))
+           for eq in CARTESIAN_EQUATIONS}
     rows = tuple(InvarianceRow(equation=eq, pre_norm=pre_norm[eq],
                                post_norm=post_norm[eq], max_diff=diff[eq],
-                               tol=tol, passed=diff[eq] <= tol)
+                               tol=tol[eq], passed=diff[eq] <= tol[eq])
                  for eq in CARTESIAN_EQUATIONS)
     return InvarianceReport(kind=element.kind, parameter=element.parameter,
                             rows=rows, passed=all(r.passed for r in rows))

@@ -318,6 +318,7 @@ def per_point_invariance(element, field, params, points, moduli=None,
     pre_norm = dict.fromkeys(CARTESIAN_EQUATIONS, 0.0)
     post_norm = dict.fromkeys(CARTESIAN_EQUATIONS, 0.0)
     diff = dict.fromkeys(CARTESIAN_EQUATIONS, 0.0)
+    scale = dict.fromkeys(CARTESIAN_EQUATIONS, 0.0)
     for point in points:
         pre = residual_cartesian_aniso(field, moduli, params, point)
         post = residual_cartesian_aniso(transformed, moduli, params,
@@ -332,9 +333,12 @@ def per_point_invariance(element, field, params, points, moduli=None,
             pre_norm[eq] = max(pre_norm[eq], abs(pre[eq]))
             post_norm[eq] = max(post_norm[eq], abs(post[eq]))
             diff[eq] = max(diff[eq], abs(post[eq] - expected[eq]))
-    tol = rtol * max(1.0, *pre_norm.values(), *post_norm.values())
-    rows = tuple(InvarianceRow(eq, pre_norm[eq], post_norm[eq], diff[eq], tol,
-                               diff[eq] <= tol) for eq in CARTESIAN_EQUATIONS)
+            scale[eq] = max(scale[eq], pre.scale[eq], post.scale[eq])
+    floor = max(1.0, *pre_norm.values(), *post_norm.values())
+    tol = {eq: rtol * max(floor, scale[eq]) for eq in CARTESIAN_EQUATIONS}
+    rows = tuple(InvarianceRow(eq, pre_norm[eq], post_norm[eq], diff[eq],
+                               tol[eq], diff[eq] <= tol[eq])
+                 for eq in CARTESIAN_EQUATIONS)
     return InvarianceReport(element.kind, element.parameter, rows,
                             all(row.passed for row in rows))
 

@@ -7,7 +7,7 @@ from pemsim.core import AnisotropicModuli, ModelParams, lame_star
 from pemsim.fields import (GridFieldSource, PolyFieldSource, ProfileSource,
                            random_polynomial_field)
 from pemsim.polynomials import PolyTXY
-from pemsim.residuals import (fluxes, residual_cartesian_aniso,
+from pemsim.residuals import (ResidualVector, fluxes, residual_cartesian_aniso,
                               residual_cartesian_iso, residual_radial_full,
                               residual_ring, terzaghi_stress_radial)
 from pemsim.polynomials import random_harmonic
@@ -262,8 +262,8 @@ class TestRing:
         sol = (neumann_solution if case == "neumann" else dirichlet_solution)(
             PARAMS, r_st)
         src = sol.as_ring_source(rho=1.2, theta=0.45)
-        worst = max(residual_ring(src, PARAMS, (0.0, r)).max_abs()
-                    for r in np.linspace(PARAMS.r0 + 1e-6, r_st, 1000))
+        worst = np.max([residual_ring(src, PARAMS, (0.0, r)).max_abs()
+                        for r in np.linspace(PARAMS.r0 + 1e-6, r_st, 1000)])
         assert worst <= 1e-11
 
     def test_grid_backed_residual_second_order(self):
@@ -276,8 +276,8 @@ class TestRing:
             grid = GridFieldSource([None, rs], {"w": w, "P": P,
                                                 "rho": 1.0, "theta": 0.5})
             shared = range(2, n - 2, max(1, n // 16))
-            return max(residual_ring(grid, PARAMS, (0.0, rs[j])).max_abs()
-                       for j in shared)
+            return np.max([residual_ring(grid, PARAMS, (0.0, rs[j])).max_abs()
+                           for j in shared])
 
         coarse = grid_residual(65)
         fine = grid_residual(129)
@@ -364,3 +364,30 @@ class TestEvalEntryPoint:
         point[1][1] = 0.25
         assert residual_bits(residual_cartesian_iso(field, PARAMS, point)) == (
             residual_bits(residual_cartesian_iso(same, PARAMS, point)))
+
+
+class TestNanStaysVisible:
+    """A NaN residual never reads as a finite one."""
+
+    @pytest.mark.parametrize("values", [
+        {"a": 0.0, "b": math.nan},
+        {"a": math.nan, "b": 0.0},
+        {"a": np.array([0.0, 1.0]), "b": np.array([math.nan, 0.0])},
+        {"a": 2.0, "b": np.array([0.5, math.nan])},
+    ])
+    def test_max_abs_propagates_nan(self, values):
+        assert math.isnan(ResidualVector(values).max_abs())
+
+    def test_max_abs_of_finite_values(self):
+        res = ResidualVector({"a": -3.0, "b": np.array([1.0, -4.0]), "c": 2.5})
+        assert res.max_abs() == 4.0
+
+    def test_nan_radius_rejected(self):
+        ring = ProfileSource({"w": 0.0, "P": 1.0, "rho": 1.0, "theta": 0.5},
+                             ndim=2)
+        polar = ProfileSource({"w1": 0.0, "w2": 0.0, "P": 0.0, "rho": 1.0,
+                               "theta": 0.5, "C": 0.0}, ndim=3)
+        with pytest.raises(ValueError, match="r > 0"):
+            residual_ring(ring, PARAMS, (0.0, math.nan))
+        with pytest.raises(ValueError, match="r > 0"):
+            residual_radial_full(polar, PARAMS, (0.0, math.nan, 0.3))

@@ -46,8 +46,8 @@ class TestDirichletSolution:
         p = ModelParams.reference(p_a=0.2, p_st=1.4)
         sol = dirichlet_solution(p, 1.7)
         src = sol.as_ring_source(rho=1.2, theta=0.4)
-        worst = max(residual_ring(src, p, (0.0, r)).max_abs()
-                    for r in np.linspace(p.r0 + 1e-9, 1.7, 1000))
+        worst = np.max([residual_ring(src, p, (0.0, r)).max_abs()
+                        for r in np.linspace(p.r0 + 1e-9, 1.7, 1000)])
         assert worst <= 1e-11
 
 
@@ -79,8 +79,8 @@ class TestNeumannSolution:
     def test_residual_oracle(self):
         sol = neumann_solution(REFERENCE, 1.5)
         src = sol.as_ring_source()
-        worst = max(residual_ring(src, REFERENCE, (0.0, r)).max_abs()
-                    for r in np.linspace(REFERENCE.r0 + 1e-9, 1.5, 1000))
+        worst = np.max([residual_ring(src, REFERENCE, (0.0, r)).max_abs()
+                        for r in np.linspace(REFERENCE.r0 + 1e-9, 1.5, 1000)])
         assert worst <= 1e-11
 
 

@@ -301,6 +301,46 @@ class TestCheckInvariance:
         # stationary residuals vanish, so the defect is exactly 2*lam_star
         assert row.max_diff == pytest.approx(2 * LS, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [1017, 1090, 2120, 2218, 9305])
+    def test_large_displacement_shift_passes(self, seed):
+        # Degree-6 generators reach |G''| ~ 520 at these points, so the
+        # shifted momentum rows round at ~1e-12 although the shift is exact.
+        rng = np.random.default_rng(seed)
+        G1, G2 = generate_displacement_symmetry(HarmonicPotentialPair(
+            random_harmonic(rng, 6), random_harmonic(rng, 6)))
+        el = GroupElement.displacement_shift(1.0, G1, G2)
+        report = check_invariance(el, stationary_field(), PARAMS,
+                                  points=annulus_points())
+        assert report.passed, [(r.equation, r.max_diff, r.tol)
+                               for r in report.rows if not r.passed]
+
+    def test_small_defect_on_large_shift_fails(self):
+        # The rounding-scaled tolerance must still see a 1e-6 x^2 defect
+        # on the largest generator pair of the seeds above.
+        rng = np.random.default_rng(1090)
+        G1, G2 = generate_displacement_symmetry(HarmonicPotentialPair(
+            random_harmonic(rng, 6), random_harmonic(rng, 6)))
+        el = GroupElement.displacement_shift(
+            1.0, G1 + Poly2([[0.0], [0.0], [1e-6]]), G2)
+        report = check_invariance(el, stationary_field(), PARAMS,
+                                  points=annulus_points())
+        assert not report.passed
+        assert not report.row("momentum1").passed
+
+    def test_tolerance_scales_with_each_row(self):
+        # The shift loads only the momentum rows, so only their tolerance
+        # grows; every row keeps at least rtol times the largest norm.
+        rng = np.random.default_rng(1090)
+        G1, G2 = generate_displacement_symmetry(HarmonicPotentialPair(
+            random_harmonic(rng, 6), random_harmonic(rng, 6)))
+        el = GroupElement.displacement_shift(1.0, G1, G2)
+        report = check_invariance(el, stationary_field(), PARAMS,
+                                  points=annulus_points())
+        floor = 1e-12 * max(1.0, *(n for r in report.rows
+                                   for n in (r.pre_norm, r.post_norm)))
+        assert all(r.tol >= floor for r in report.rows)
+        assert report.row("momentum1").tol > 100 * report.row("continuity").tol
+
     def test_anisotropic_invariance_suite(self):
         moduli = AnisotropicModuli(e11=3.0, e22=2.0, e33=1.0, e12=0.7,
                                    e13=0.4, e23=0.2)

@@ -781,8 +781,8 @@ class TestSteadyStateCheck:
         src = ring_source_from_states(window)
         r = window[1].r_grid
         t_mid = window[1].t
-        worst = max(residual_ring(src, HEAVY, (t_mid, r[j])).max_abs()
-                    for j in range(2, len(r) - 2, 7))
+        worst = np.max([residual_ring(src, HEAVY, (t_mid, r[j])).max_abs()
+                        for j in range(2, len(r) - 2, 7)])
         h = (window[1].S - HEAVY.r0) / cfg.N
         assert worst <= 50.0 * h**2
 
