@@ -121,13 +121,20 @@ def _split_point(point: Sequence[float | np.ndarray], ndim: int) -> _Point:
     return point
 
 
-def _split_query(point: Sequence[float | np.ndarray], d: Sequence[int] | None,
-                 ndim: int):
-    point = _split_point(point, ndim)
+@functools.lru_cache(maxsize=256)
+def _multi_index(d: tuple | None, ndim: int) -> tuple[int, ...]:
+    """``d`` as a checked tuple of ints; each distinct (d, ndim) is checked
+    once, since a residual call asks the same few indices again and again."""
     d = (0,) * ndim if d is None else tuple([int(v) for v in d])
     if len(d) != ndim or min(d, default=0) < 0:
         raise DerivativeUnavailableError(f"bad derivative multi-index {d}")
-    return point, d
+    return d
+
+
+def _split_query(point: Sequence[float | np.ndarray], d: Sequence[int] | None,
+                 ndim: int):
+    return (_split_point(point, ndim),
+            _multi_index(None if d is None else tuple(d), ndim))
 
 
 class PolyFieldSource:
