@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import AnisotropicModuli, ModelParams
 from .fields import (DerivativeUnavailableError, FieldSource, GridFieldSource,
-                     _elementwise, _Point, _split_query)
+                     _elementwise, _split_point, _split_query)
 from .polynomials import Poly2
 from .residuals import (CARTESIAN_EQUATIONS, _elastic_force,
                         residual_cartesian_aniso)
@@ -213,7 +213,7 @@ class TransformedFieldSource:
         if point is self._last[0]:
             pre = self._last[1]
         else:
-            pre = _Point(self._inverse.map_point(point))
+            pre = _split_point(self._inverse.map_point(point), self.ndim)
             self._last = (point, pre)
         if el.kind == "rotation":
             c, s = _trig(eps)
