@@ -102,8 +102,9 @@ class _Point(tuple):
     Only ``_split_point`` makes one.  A residual operator splits its point
     once and passes the result to every query, and the sources take it as
     it is; a plain tuple is split anew by every query.  ``key`` is its
-    ``_point_key``, computed on first use and kept: the point lives for one
-    residual call, while its arrays cannot change.
+    ``_point_key``, computed on first use and kept, which is sound because
+    the point lives for one residual call and nothing changes its arrays
+    meanwhile.
     """
 
     @functools.cached_property
