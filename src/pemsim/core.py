@@ -33,6 +33,16 @@ class ParameterError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _raise_unless_finite(params, violations: list[str]) -> None:
+    """Raise ParameterError with ``violations`` and every non-finite field."""
+    for field in dataclass_fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            violations.append(f"{field.name} must be finite (got {value})")
+    if violations:
+        raise ParameterError(violations)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical constants of the isotropic poroelastic model.
@@ -85,12 +95,7 @@ class ModelParams:
             violations.append(f"r0 must be > 0 (got {self.r0})")
         if not self.r0 < self.R0:
             violations.append(f"r0 < R0 required (got r0={self.r0}, R0={self.R0})")
-        for field in dataclass_fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                violations.append(f"{field.name} must be finite (got {value})")
-        if violations:
-            raise ParameterError(violations)
+        _raise_unless_finite(self, violations)
 
     @classmethod
     def reference(cls, **overrides: float) -> "ModelParams":
@@ -132,8 +137,7 @@ class AnisotropicModuli:
         for name in ("e12", "e13", "e23"):
             if not getattr(self, name) >= 0:
                 violations.append(f"{name} must be >= 0 (got {getattr(self, name)})")
-        if violations:
-            raise ParameterError(violations)
+        _raise_unless_finite(self, violations)
 
     @classmethod
     def isotropic(cls, lam: float, mu: float) -> "AnisotropicModuli":

@@ -48,7 +48,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .polynomials import PolyTXY
+from .polynomials import PolyTXY, _orders
 
 __all__ = [
     "DerivativeUnavailableError",
@@ -126,10 +126,10 @@ def _split_point(point: Sequence[float | np.ndarray], ndim: int) -> _Point:
 def _multi_index(d: tuple | None, ndim: int) -> tuple[int, ...]:
     """``d`` as a checked tuple of ints; each distinct (d, ndim) is checked
     once, since a residual call asks the same few indices again and again."""
-    d = (0,) * ndim if d is None else tuple([int(v) for v in d])
-    if len(d) != ndim or min(d, default=0) < 0:
+    checked = (0,) * ndim if d is None else _orders(d)
+    if checked is None or len(checked) != ndim:
         raise DerivativeUnavailableError(f"bad derivative multi-index {d}")
-    return d
+    return checked
 
 
 def _split_query(point: Sequence[float | np.ndarray], d: Sequence[int] | None,

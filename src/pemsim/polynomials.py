@@ -42,10 +42,23 @@ def _horner(rows: list, v, *rest):
     return acc if len(rows) > 1 else 0.0 * v + acc
 
 
+def _orders(orders) -> tuple[int, ...] | None:
+    """``orders`` as ints, or None unless each equals a non-negative integer."""
+    try:
+        ints = tuple([int(v) for v in orders])
+    except (TypeError, ValueError, OverflowError):   # "a", [1, 2], nan, inf
+        return None
+    return ints if ints == tuple(orders) and min(ints, default=0) >= 0 else None
+
+
 def _deriv_table(coeffs: np.ndarray, orders) -> np.ndarray:
     """Coefficient table of the derivative of the given order along each axis."""
     c = coeffs
-    for axis, order in enumerate(orders):
+    checked = _orders(orders)
+    if checked is None:
+        raise ValueError(f"derivative orders {orders} are not non-negative "
+                         "integers")
+    for axis, order in enumerate(checked):
         for _ in range(order):   # one factor per pass, rounded after each
             n = c.shape[axis]
             if n <= 1:

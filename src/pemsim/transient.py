@@ -210,20 +210,22 @@ def _load_lapack():
 
 def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray,
                  b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for the band matrix a stored as ``ab[u + i - j, j]``.
+    """Solve a @ x = b for the band matrix a with l sub- and u superdiagonals.
 
-    The storage and the checks are those of scipy.linalg.solve_banded, and so
-    is the LAPACK call, which keeps its results bit for bit: a (1, 1) band
-    goes to dgtsv, any other to dgbsv on a copy of ab below l zero rows.  The
-    inputs are not modified.  The first call loads scipy's _flapack
-    extension, and no other part of scipy.linalg.
+    A (1, 1) band is scipy's (3, n) storage ab[1 + i - j, j] = a[i, j], and
+    dgtsv leaves it as it is.  Any other band is dgbsv's (2l + u + 1, n)
+    Fortran-order workspace, that storage below l rows for the fill-in, and
+    dgbsv factors it in place: the call consumes ab.  Checks (of the fill-in
+    rows too) and results are scipy.linalg.solve_banded's on the band, bit
+    for bit.  The first call loads scipy's _flapack extension alone.
     """
     global _lapack
     if _lapack is None:
         _lapack = _load_lapack()
 
     l, u = l_and_u
-    if ab.shape != (l + u + 1, len(b)):
+    tridiagonal = l == u == 1
+    if ab.shape != (3 if tridiagonal else 2 * l + u + 1, len(b)):
         raise ValueError(f"band of shape {ab.shape} does not match "
                          f"(l, u) = {l_and_u} and len(b) = {len(b)}")
     # Counting finite entries costs less than .all() on arrays this small.
@@ -231,12 +233,10 @@ def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray,
     if (np.count_nonzero(finite_ab) < finite_ab.size
             or np.count_nonzero(finite_b) < finite_b.size):
         raise ValueError("array must not contain infs or NaNs")
-    if l == u == 1:
+    if tridiagonal:
         _, _, _, x, info = _lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
     else:
-        lu = np.zeros((2 * l + u + 1, ab.shape[1]), order="F")
-        lu[l:] = ab
-        _, _, x, info = _lapack.dgbsv(l, u, lu, b, overwrite_ab=True)
+        _, _, x, info = _lapack.dgbsv(l, u, ab, b, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -295,14 +295,15 @@ class _Stepper:
         per-run constants and the scatter plan ``wp_plan``: once per run."""
         N, n = self.N, self.N - 1
         cols = 2 * (N + 1)
-        self._rhs_at = 20 * (N + 1)   # the scatter output is ab, rhs, junk
-        junk = 22 * (N + 1)
+        # The scatter output is lu, 15 values per column, then rhs and junk.
+        self._rhs_at = 15 * cols
+        junk = self._rhs_at + cols
         self._bins = junk + 1
         i = np.arange(1, N)
         mom, vol = 2 * i, 2 * i + 1   # the two rows of interior node i
 
         def at(row, col, keep=True):
-            return np.where(keep, (4 + row - col) * cols + col, junk)
+            return np.where(keep, 15 * col + 9 + row - col, junk)
 
         tail = [(2 * N - 1, 2 * N - 4), (2 * N - 1, 2 * N - 2),
                 (2 * N - 1, 2 * N), (0, 0), (1, 1),
@@ -338,16 +339,18 @@ class _Stepper:
         self._eta_shift = self.eta[self._shift]
 
     def assemble_wp(self, S: float, dt: float, t_new: float):
-        """The (5, 4) band ab and right-hand side of the backward-Euler
+        """The (5, 4) band and right-hand side of the backward-Euler
         displacement/pressure system on the grid mapped to [r_in, S].
 
         Unknowns interleave as (w_0, P_0, w_1, P_1, ...); entry (row, col)
-        lives at ``ab[4 + row - col, col]``.  Interior node i = 1 .. N-1 owns
-        the momentum row 2i and the volume-balance row 2i+1, and each of
-        their stencil coefficients is computed for all n = N-1 nodes at once,
-        as one row of a block of a value buffer allocated per run.  In buffer
-        order, with c1 = 1/(2h) and a = (-c1, 1/r_i, c1) the weights of
-        V_{i-1}, V_i, V_{i+1} in the volume row:
+        lives at ``lu[9 + row - col, col]`` of dgbsv's (15, 2N+2) workspace,
+        in Fortran order, whose top 5 rows (the LU's fill-in) stay zero.
+        Interior node i = 1 .. N-1 owns the momentum row 2i and the
+        volume-balance row 2i+1, and each of their stencil coefficients is
+        computed for all n = N-1 nodes at once, as one row of a block of a
+        value buffer allocated per run.  In buffer order, with c1 = 1/(2h)
+        and a = (-c1, 1/r_i, c1) the weights of V_{i-1}, V_i, V_{i+1} in the
+        volume row:
 
         - ``L`` (2, 2, n): -ls and -(k/2) times 1/h^2 -/+ 1/(2 h r_i), the
           momentum row at w_{i-1}, w_{i+1} and the volume row at P_{i-1},
@@ -366,8 +369,8 @@ class _Stepper:
         - ``tail``: the V_N patch of row 2N-1, then the boundary rows.
 
         One ``np.bincount`` through ``wp_plan`` (the flat position of each
-        buffer value in ab, then rhs, then the junk bin) sums the buffer
-        into ab and rhs.  bincount adds the values of a bin in buffer order,
+        buffer value in lu, then rhs, then the junk bin) sums the buffer
+        into lu and rhs.  bincount adds the values of a bin in buffer order,
         starting from 0.0, so the blocks may be laid out in any order except
         among values that share an entry.  That happens only in the volume
         rows, at w_{i-1}, w_i and w_{i+1} and in the rhs.  In each such group
@@ -436,7 +439,7 @@ class _Stepper:
             rhs[1] = d * p.p_a
         rhs[2 * N] = self.traction_rhs(t_new, S) / h
         rhs[2 * N + 1] = d * p.p_a
-        return out[:self._rhs_at].reshape(10, 2 * (N + 1)), rhs
+        return out[:self._rhs_at].reshape(2 * (N + 1), 15).T, rhs
 
     def solve_wp(self, S: float, dt: float, t_new: float):
         """Solve the system of :meth:`assemble_wp`; returns (w, P)."""

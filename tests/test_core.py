@@ -113,3 +113,20 @@ class TestAnisotropicModuli:
         with pytest.raises(ParameterError, match="e13"):
             AnisotropicModuli(e11=1.0, e22=1.0, e33=1.0, e12=0.0,
                               e13=-0.1, e23=0.0)
+
+    @pytest.mark.parametrize("name", ["e11", "e22", "e33", "e12", "e13",
+                                      "e23"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_finiteness_enforced(self, name, value):
+        entries = dict(e11=3.0, e22=2.0, e33=1.0, e12=0.7, e13=0.4, e23=0.2)
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            AnisotropicModuli(**{**entries, name: value})
+
+    def test_all_violations_reported_at_once(self):
+        inf = float("inf")
+        with pytest.raises(ParameterError) as err:
+            AnisotropicModuli(e11=inf, e22=1.0, e33=1.0, e12=inf, e13=-1.0,
+                              e23=0.0)
+        assert err.value.violations == [
+            "e13 must be >= 0 (got -1.0)", "e11 must be finite (got inf)",
+            "e12 must be finite (got inf)"]

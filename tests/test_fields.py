@@ -8,6 +8,7 @@ from pemsim.fields import (DerivativeUnavailableError, GridFieldSource,
                            RadialCartesianSource, random_polynomial_field,
                            sample_grid)
 from pemsim.polynomials import Poly2, PolyTXY, harmonic_basis
+from pemsim.symmetry import GroupElement, apply_group
 from pemsim.transient import fd1, fd2
 
 
@@ -225,3 +226,69 @@ class TestSampleGrid:
         grid = sample_grid(src, [ts, xs, ys], ("u1", "p"))
         pt = (ts[1], xs[2], ys[5])
         assert grid.eval("u1", pt) == pytest.approx(src.eval("u1", pt), rel=1e-15)
+
+
+# Derivative orders that are not non-negative integers: a fractional order
+# used to be truncated by int() and a negative one to read as order 0.
+BAD_ORDERS = [0.5, 1.9, 1.7, -1, math.nan, math.inf, "1"]
+
+
+def _order_sources():
+    """One source of every family, each with a component and a point."""
+    grid = GridFieldSource([np.linspace(0.0, 1.0, 5), np.linspace(1.0, 2.0, 9)],
+                           {"w": np.arange(45.0).reshape(5, 9) ** 1.5})
+    w = (lambda r: r**2, lambda r: 2 * r, lambda r: 2.0)
+    radial = RadialCartesianSource(w, (lambda r: r, lambda r: 1.0,
+                                       lambda r: 0.0))
+    poly = random_polynomial_field(np.random.default_rng(0))
+    return {
+        "poly": (poly, "u1", (0.1, 0.2, 0.3)),
+        "grid": (grid, "w", (0.5, 1.5)),
+        "profile": (ProfileSource({"w": w}), "w", (0.3, 1.5)),
+        "radial": (radial, "u1", (0.0, 1.1, -0.6)),
+        "transformed": (apply_group(GroupElement.x_translation(0.25), poly),
+                        "u1", (0.1, 0.2, 0.3)),
+    }
+
+
+class TestDerivativeOrders:
+    @pytest.mark.parametrize("family", sorted(_order_sources()))
+    @pytest.mark.parametrize("bad", BAD_ORDERS)
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_source_rejects_non_integer_order(self, family, bad, axis):
+        src, component, point = _order_sources()[family]
+        d = [0] * len(point)
+        d[axis] = bad
+        with pytest.raises(DerivativeUnavailableError, match="multi-index"):
+            src.eval(component, point, tuple(d))
+
+    @pytest.mark.parametrize("family", sorted(_order_sources()))
+    def test_integer_valued_orders_read_as_ints(self, family):
+        # numpy integers, and floats equal to an integer, read by value
+        src, component, point = _order_sources()[family]
+        d = (0, 1) + (0,) * (len(point) - 2)
+        expected = src.eval(component, point, d)
+        for kind in (np.int64, np.int32, np.uint8, float):
+            assert src.eval(component, point,
+                            tuple(kind(v) for v in d)) == expected
+            assert src.eval(component, point, np.array(d, dtype=kind)) \
+                == expected
+
+    @pytest.mark.parametrize("bad", BAD_ORDERS)
+    def test_polynomials_reject_non_integer_order(self, bad):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Poly2([[1.0, 2.0], [3.0, 4.0]]).deriv(bad, 0)
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Poly2([[1.0, 2.0], [3.0, 4.0]]).deriv(0, bad)
+        with pytest.raises(ValueError, match="non-negative integers"):
+            PolyTXY(np.ones((2, 2, 2))).deriv((0, bad, 0))
+
+    def test_polynomials_take_integer_valued_orders(self):
+        rng = np.random.default_rng(1)
+        p2, p3 = Poly2(rng.normal(size=(3, 3))), PolyTXY(
+            rng.normal(size=(3, 3, 3)))
+        for kind in (np.int64, np.int32, float):
+            assert np.array_equal(p2.deriv(kind(1), kind(2)).coeffs,
+                                  p2.deriv(1, 2).coeffs)
+            assert np.array_equal(p3.deriv(np.array([2, 0, 1], kind)).coeffs,
+                                  p3.deriv((2, 0, 1)).coeffs)

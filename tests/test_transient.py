@@ -207,7 +207,8 @@ def stencil_sum_band(st, S, dt, t_new):
 
 class TestBandScatter:
     """assemble_wp's one ordered scatter equals the term-by-term stencil sum
-    bit for bit, shared entries and signs of zeros included."""
+    bit for bit, shared entries and signs of zeros included, and lays it
+    out as dgbsv's workspace: the band below 5 zero fill-in rows."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=hst.integers(0, 2**32 - 1), N=hst.integers(16, 200),
@@ -236,20 +237,29 @@ class TestBandScatter:
         dt = rng.uniform(1e-4, 1e-2)
         S = st.S if resting else st.S * (1.0 + 0.01 * rng.normal())
         t_new = rng.uniform(0.0, 1.0)
-        ab, rhs = st.assemble_wp(S, dt, t_new)
+        lu, rhs = st.assemble_wp(S, dt, t_new)
         ab_ref, rhs_ref = stencil_sum_band(st, S, dt, t_new)
-        assert ab.shape == ab_ref.shape and rhs.shape == rhs_ref.shape
-        assert ab.tobytes() == ab_ref.tobytes()
+        assert lu.shape == (15, 2 * (N + 1)) and lu.flags.f_contiguous
+        assert rhs.shape == rhs_ref.shape
+        assert lu[5:].tobytes() == ab_ref.tobytes()
+        assert lu[:5].tobytes() == bytes(lu[:5].nbytes)   # +0.0 throughout
         assert rhs.tobytes() == rhs_ref.tobytes()
         # A second call builds new arrays: the first call's stay as they were.
         st.assemble_wp(st.S * (1.0 + 0.02 * rng.normal()), dt, t_new)
-        assert ab.tobytes() == ab_ref.tobytes()
+        assert lu[5:].tobytes() == ab_ref.tobytes()
         assert rhs.tobytes() == rhs_ref.tobytes()
+        # solve_banded factors this very array: no copy, no re-layout.
+        x = transient.solve_banded((5, 4), lu, rhs)
+        assert not np.array_equal(lu[5:], ab_ref)
+        assert np.array_equal(x, scipy.linalg.solve_banded((5, 4), ab_ref,
+                                                           rhs_ref))
 
 
 class TestSolveBanded:
     """transient.solve_banded against scipy.linalg.solve_banded: bit-equal
-    results, untouched inputs, and the same errors."""
+    results and the same errors.  A (5, 4) band is passed as dgbsv's
+    workspace, the scipy band below 5 spare rows, which the solve consumes;
+    a (1, 1) band and every right-hand side are left as they were."""
 
     @staticmethod
     def band(seed, N, l_and_u):
@@ -259,15 +269,40 @@ class TestSolveBanded:
         ab[l_and_u[1]] += rng.uniform(0.0, 10.0) * np.abs(ab).sum(axis=0)
         return ab, rng.normal(size=n) * rng.uniform(1e-3, 1e3)
 
+    @staticmethod
+    def workspace(l_and_u, ab, fill=0.0):
+        """What solve_banded takes for the scipy band ab."""
+        if l_and_u == (1, 1):
+            return ab.copy()
+        lu = np.full((l_and_u[0] + ab.shape[0], ab.shape[1]), fill,
+                     order="F")
+        lu[l_and_u[0]:] = ab
+        return lu
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=hst.integers(0, 2**32 - 1), N=hst.integers(16, 120),
            l_and_u=hst.sampled_from([(5, 4), (1, 1)]))
     def test_bit_equal_to_scipy_and_inputs_unchanged(self, seed, N, l_and_u):
         ab, b = self.band(seed, N, l_and_u)
-        ab_in, b_in = ab.copy(), b.copy()
-        x = transient.solve_banded(l_and_u, ab, b)
-        assert np.array_equal(ab, ab_in) and np.array_equal(b, b_in)
+        lu, b_in = self.workspace(l_and_u, ab), b.copy()
+        x = transient.solve_banded(l_and_u, lu, b)
+        assert np.array_equal(b, b_in)
+        # dgbsv factors the workspace in place; dgtsv leaves its band alone.
+        assert np.array_equal(lu[-len(ab):], ab) == (l_and_u == (1, 1))
         assert np.array_equal(x, scipy.linalg.solve_banded(l_and_u, ab, b))
+
+    @pytest.mark.parametrize("fill", [1.0, -1e300, math.nan, math.inf])
+    def test_fill_in_rows_are_checked_not_read(self, fill):
+        # dgbsv overwrites them unread, but they are checked for finiteness
+        # with the band: the whole workspace is contiguous, the band is not.
+        ab, b = self.band(4, 60, (5, 4))
+        lu = self.workspace((5, 4), ab, fill)
+        if not math.isfinite(fill):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                transient.solve_banded((5, 4), lu, b)
+            return
+        x = transient.solve_banded((5, 4), lu, b)
+        assert np.array_equal(x, scipy.linalg.solve_banded((5, 4), ab, b))
 
     @pytest.mark.parametrize("failure", ["missing", "not an extension"])
     def test_fallback_solves_bit_equal(self, failure, monkeypatch, tmp_path):
@@ -275,9 +310,14 @@ class TestSolveBanded:
         # module that a failed load falls back to, solve alike.
         bands = {l_and_u: self.band(5, 40, l_and_u)
                  for l_and_u in [(5, 4), (1, 1)]}
+
+        def solve_all():
+            return {k: transient.solve_banded(k, self.workspace(k, ab), b)
+                    for k, (ab, b) in bands.items()}
+
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
         monkeypatch.setattr(transient, "_lapack", None)
-        direct = {k: transient.solve_banded(k, *v) for k, v in bands.items()}
+        direct = solve_all()
         assert transient._lapack is sys.modules["scipy.linalg._flapack"]
         assert transient._lapack is not scipy.linalg.lapack._flapack
 
@@ -293,8 +333,7 @@ class TestSolveBanded:
                                 str(tmp_path / "__init__.py"))
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
         monkeypatch.setattr(transient, "_lapack", None)
-        fallback = {k: transient.solve_banded(k, *v)
-                    for k, v in bands.items()}
+        fallback = solve_all()
         assert transient._lapack is scipy.linalg.lapack
         for l_and_u, (ab, b) in bands.items():
             assert np.array_equal(direct[l_and_u], fallback[l_and_u])
@@ -308,22 +347,26 @@ class TestSolveBanded:
         ab, b = self.band(1, 20, l_and_u)
         (ab[1] if target == "ab" else b)[7] = value
         with pytest.raises(ValueError, match="infs or NaNs"):
-            transient.solve_banded(l_and_u, ab, b)
+            transient.solve_banded(l_and_u, self.workspace(l_and_u, ab), b)
 
     @pytest.mark.parametrize("l_and_u", [(5, 4), (1, 1)])
     def test_singular_band_rejected(self, l_and_u):
         ab, b = self.band(2, 20, l_and_u)
         ab[:, 3:] = 0.0
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            transient.solve_banded(l_and_u, ab, b)
+            transient.solve_banded(l_and_u, self.workspace(l_and_u, ab), b)
 
     @pytest.mark.parametrize("l_and_u", [(5, 4), (1, 1)])
     def test_shape_mismatch_rejected(self, l_and_u):
         ab, b = self.band(3, 20, l_and_u)
+        lu = self.workspace(l_and_u, ab)
         with pytest.raises(ValueError, match="does not match"):
-            transient.solve_banded(l_and_u, ab, b[:-1])
+            transient.solve_banded(l_and_u, lu, b[:-1])
         with pytest.raises(ValueError, match="does not match"):
-            transient.solve_banded(l_and_u, ab[1:], b)
+            transient.solve_banded(l_and_u, lu[1:], b)
+        if l_and_u == (5, 4):     # the scipy band without its spare rows
+            with pytest.raises(ValueError, match="does not match"):
+                transient.solve_banded(l_and_u, ab, b)
 
 
 class TestBoundaryRows:
@@ -616,6 +659,67 @@ class TestStepGrowth:
         fixed = self._fixed(HEAVY, cfg, theta0=0.9999)
         assert len(grown) <= len(fixed)
         assert abs(grown[-1].S - fixed[-1].S) <= 1e-9
+
+
+class TestPressureShift:
+    """Under the annulus traction form no boundary row holds P, so shifting
+    p_a and p_st by c shifts P by c and leaves S, w, rho and Theta as they
+    were, at every snapshot of a whole run.  The ring form, p_a - F0,
+    carries p_a into the traction and is the negative control."""
+
+    CFG = SimConfig(dt=2e-3, t_end=0.1, output_every=1)
+
+    @staticmethod
+    def gap_over_tol(p, cfg, geometry, theta0, c):
+        """max |difference| / tolerance over the snapshots, per variable.
+
+        The tolerances scale with each run's magnitudes: S and w with the
+        free-boundary root tolerance 1e-12*max(R0, 1), P with the largest
+        pressure of either run, rho and Theta with their largest value."""
+        shifted = dataclasses.replace(p, p_a=p.p_a + c, p_st=p.p_st + c)
+        base = simulate(p, cfg, geometry=geometry, theta0=theta0)
+        twin = simulate(shifted, cfg, geometry=geometry, theta0=theta0)
+        assert [s.t for s in twin] == [s.t for s in base]
+        length = max(p.R0, 1.0)
+        ratios = {"S": max(abs(b.S - a.S) for a, b in zip(base, twin))
+                  / (1e-11 * length)}
+        for name in ("w", "P", "varrho", "Theta"):
+            shift = c if name == "P" else 0.0
+            gap = max(np.max(np.abs(getattr(b, name) - getattr(a, name)
+                                    - shift)) for a, b in zip(base, twin))
+            size = (length if name == "w" else
+                    max(np.max(np.abs(getattr(s, name))) for s in base + twin))
+            # An unloaded, unshifted run has P = 0 throughout: no 0 / 0.
+            ratios[name] = gap / (1e-11 * max(size, np.finfo(float).tiny))
+        return ratios
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(geometry=hst.sampled_from(["annulus", "circle"]),
+           N=hst.integers(16, 64),
+           F0=hst.floats(0.0, 2 * math.pi),
+           theta0=hst.floats(0.6, 0.95),
+           load_ramp=hst.sampled_from([0.0, 0.05]),
+           p_a=hst.floats(-1.0, 1.0),
+           c=hst.floats(-5.0, 5.0))
+    @example(geometry="annulus", N=48, F0=16 * math.pi, theta0=0.9999,
+             load_ramp=0.0, p_a=0.0, c=2.5)          # the reference annulus
+    @example(geometry="circle", N=48, F0=0.8 * math.pi, theta0=0.7,
+             load_ramp=0.0, p_a=0.0, c=2.5)          # the TestCircle load
+    def test_annulus_traction_shifts_only_P(self, geometry, N, F0, theta0,
+                                            load_ramp, p_a, c):
+        p = ModelParams.reference(F0=F0, p_a=p_a, p_st=p_a)
+        cfg = dataclasses.replace(self.CFG, N=N, load_ramp=load_ramp)
+        ratios = self.gap_over_tol(p, cfg, geometry, theta0, c)
+        assert all(r <= 1.0 for r in ratios.values()), ratios
+
+    @pytest.mark.parametrize("geometry", ["annulus", "circle"])
+    def test_ring_traction_is_no_symmetry(self, geometry):
+        # A small load: at F0 = 0.8 pi and above the ring form leaves the
+        # porosity bounds within the first steps.
+        p = ModelParams.reference(F0=0.1)
+        cfg = dataclasses.replace(self.CFG, N=48, traction_form="ring")
+        ratios = self.gap_over_tol(p, cfg, geometry, 0.7, 0.02)
+        assert ratios["S"] > 1e6, ratios
 
 
 class TestTimeScaling:
