@@ -210,22 +210,18 @@ def _load_lapack():
 
 def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray,
                  b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for the band matrix a with l sub- and u superdiagonals.
+    """Solve a @ x = b for the band matrix a stored as ``ab[u + i - j, j]``.
 
-    A (1, 1) band is scipy's (3, n) storage ab[1 + i - j, j] = a[i, j], and
-    dgtsv leaves it as it is.  Any other band is dgbsv's (2l + u + 1, n)
-    Fortran-order workspace, that storage below l rows for the fill-in, and
-    dgbsv factors it in place: the call consumes ab.  Checks (of the fill-in
-    rows too) and results are scipy.linalg.solve_banded's on the band, bit
-    for bit.  The first call loads scipy's _flapack extension alone.
+    A (1, 1) band is that (3, n) storage, read by dgtsv.  Any other band sits
+    below l zero rows of dgbsv's Fortran-order workspace, which dgbsv factors
+    in place.  Checks and results are scipy.linalg.solve_banded's, bit for bit.
     """
     global _lapack
     if _lapack is None:
         _lapack = _load_lapack()
 
     l, u = l_and_u
-    tridiagonal = l == u == 1
-    if ab.shape != (3 if tridiagonal else 2 * l + u + 1, len(b)):
+    if ab.shape != (3 if l == u == 1 else 2 * l + u + 1, len(b)):
         raise ValueError(f"band of shape {ab.shape} does not match "
                          f"(l, u) = {l_and_u} and len(b) = {len(b)}")
     # Counting finite entries costs less than .all() on arrays this small.
@@ -233,7 +229,7 @@ def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray,
     if (np.count_nonzero(finite_ab) < finite_ab.size
             or np.count_nonzero(finite_b) < finite_b.size):
         raise ValueError("array must not contain infs or NaNs")
-    if tridiagonal:
+    if l == u == 1:
         _, _, _, x, info = _lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
     else:
         _, _, x, info = _lapack.dgbsv(l, u, ab, b, overwrite_ab=True)
@@ -295,8 +291,7 @@ class _Stepper:
         per-run constants and the scatter plan ``wp_plan``: once per run."""
         N, n = self.N, self.N - 1
         cols = 2 * (N + 1)
-        # The scatter output is lu, 15 values per column, then rhs and junk.
-        self._rhs_at = 15 * cols
+        self._rhs_at = 15 * cols   # the scatter output is lu, rhs, junk
         junk = self._rhs_at + cols
         self._bins = junk + 1
         i = np.arange(1, N)
@@ -343,8 +338,7 @@ class _Stepper:
         displacement/pressure system on the grid mapped to [r_in, S].
 
         Unknowns interleave as (w_0, P_0, w_1, P_1, ...); entry (row, col)
-        lives at ``lu[9 + row - col, col]`` of dgbsv's (15, 2N+2) workspace,
-        in Fortran order, whose top 5 rows (the LU's fill-in) stay zero.
+        lives at ``lu[9 + row - col, col]`` of dgbsv's (15, 2N+2) workspace.
         Interior node i = 1 .. N-1 owns the momentum row 2i and the
         volume-balance row 2i+1, and each of their stencil coefficients is
         computed for all n = N-1 nodes at once, as one row of a block of a
