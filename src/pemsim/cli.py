@@ -44,8 +44,7 @@ class ConfigError(ValueError):
 # Model keys are the ModelParams fields and simulation keys the SimConfig
 # fields, with their defaults; only the load differs from the reference set.
 _MODEL_DEFAULTS = asdict(ModelParams.reference(F0=16.0 * math.pi))
-_SIM_DEFAULTS = {f.name: f.default for f in fields(SimConfig)
-                 if f.name != "stop_when_steady"}
+_SIM_DEFAULTS = {f.name: f.default for f in fields(SimConfig)}
 _CHOICES = {"case": ("dirichlet", "neumann"), "geometry": ("circle", "annulus"),
             "field": ("stationary", "polynomial")}
 

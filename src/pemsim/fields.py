@@ -56,8 +56,6 @@ __all__ = [
     "DerivativeUnavailableError",
     "FieldSource",
     "CARTESIAN_COMPONENTS",
-    "POLAR_COMPONENTS",
-    "RING_COMPONENTS",
     "PolyFieldSource",
     "GridFieldSource",
     "ProfileSource",
@@ -69,8 +67,6 @@ __all__ = [
 ]
 
 CARTESIAN_COMPONENTS = ("u1", "u2", "p", "rho", "thetaF", "c")
-POLAR_COMPONENTS = ("w1", "w2", "P", "rho", "theta", "C")
-RING_COMPONENTS = ("w", "P", "rho", "theta")
 
 
 class DerivativeUnavailableError(ValueError):

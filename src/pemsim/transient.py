@@ -105,7 +105,6 @@ class SimConfig:
     load_end: float = math.inf       # time at which the load is removed
     traction_form: str = "annulus"   # "annulus": -F0/(2 pi S); "ring": p_a - F0
     output_every: int = 10
-    stop_when_steady: bool = True
 
     def __post_init__(self) -> None:
         for name in ("N", "output_every"):
@@ -242,6 +241,9 @@ class _Stepper:
         self.eta = np.linspace(0.0, 1.0, N + 1)
         self.nodes = np.arange(N + 1)
         self.ls = lame_star(params)
+        # t sums its steps, so it meets a load time or t_end only to
+        # rounding: a t within this slack of one is at it.
+        self.slack = 1e-12 * config.t_end
         self._init_wp_buffers()
         # Previous-step data, set by simulate().  slope is dg/dS of the last
         # free-boundary secant pair (see solve_step); before the first it is
@@ -253,7 +255,7 @@ class _Stepper:
 
     def load_at(self, t: float) -> float:
         F0 = self.params.F0
-        if t > self.config.load_end:
+        if t > self.config.load_end + self.slack:
             return 0.0
         if self.config.load_ramp > 0.0:
             return F0 * min(1.0, t / self.config.load_ramp)
@@ -599,15 +601,20 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
     Porosity or density leaving their physical bounds aborts with the
     offending state attached.
 
+    The load's last kink is ``load_end`` if it falls before t_end, else the
+    end of ``load_ramp``; a time within rounding of a kink, of ``load_end``
+    or of t_end is at it.  The run stops at t_end or at the first step that
+    starts at or after the kink with every rate within ``steady_tol``, so a
+    run steady before a release waits for it.
+
     Steps lie on the lattice ``config.dt * 2**k``, 0 <= k <=
     ``MAX_DT_DOUBLINGS``: ``config.dt`` is the smallest step the controller
     picks, not the largest.  The first two steps, every step that starts
-    before the last kink of the load (a finite ``load_end``, else
-    ``load_ramp``; a start within rounding of it is at it) and the step
-    after a halved retry take ``config.dt``, so no grown step crosses a
-    kink.  After any other accepted step, the Milne estimate of its local
-    error sets the next size.  Per variable y = w, P and S, with y_pred the
-    linear extrapolation of the previous step, the ratio
+    before the kink and the step after a halved retry take ``config.dt``,
+    so no grown step crosses a kink.  After any other accepted step, the
+    Milne estimate of its local error sets the next size.  Per variable
+    y = w, P and S, with y_pred the linear extrapolation of the previous
+    step, the ratio
 
         dt / (dt + dt_prev) * max|y_new - y_pred| / max|y_new - y_old|
 
@@ -615,13 +622,13 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
     variable, halves it (never below ``config.dt``) when it exceeds
     ``DT_ERROR_RATIO`` for any, and keeps it otherwise; no step is rejected.
     A step whose w, P and S increments all lie within ``steady_tol * dt``
-    keeps its size, so a steady run stays on one step size.  The ratio is
-    about lambda*dt/2 on a mode decaying at rate lambda, so "every rate
-    <= steady_tol" stops a run at the same distance from steady state at
-    any step size.  A step whose solve fails is retried at half its size,
-    up to ``MAX_DT_HALVINGS`` times.  Only a last step that would overshoot
-    t_end by more than rounding is cut short, and a step that ends within
-    rounding of t_end ends at t = t_end exactly.
+    keeps its size, so round-off cannot grow the first step after a rest.
+    The ratio is about lambda*dt/2 on a mode decaying at rate lambda, so
+    "every rate <= steady_tol" stops a run at the same distance from steady
+    state at any step size.  A step whose solve fails is retried at half its
+    size, up to ``MAX_DT_HALVINGS`` times.  Only a last step that would
+    overshoot t_end by more than rounding is cut short, and a step that ends
+    within rounding of t_end ends at t = t_end exactly.
     """
     st = _Stepper(params, config, geometry)
     if not 0.0 < theta0 < 1.0:
@@ -633,18 +640,17 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
     st.theta = np.full(config.N + 1, float(theta0))
 
     out = [_make_state(st, None)]
-    # t sums its steps, so it meets t_end only to rounding: a step that ends
-    # within this slack of t_end is the last one and ends at t_end exactly.
-    slack = 1e-12 * config.t_end
-    # Steps that start before the last kink of the load stay at config.dt; a
-    # t within the slack of the kink has reached it, however it rounded.
-    # The load is 0 after load_end, so a ramp ending later is no kink.
-    kink = config.load_end if config.load_end < math.inf else config.load_ramp
+    slack = st.slack
+    # The load is 0 after load_end, so a ramp ending later is no kink, and a
+    # load_end at or after t_end is none either.
+    kink = (config.load_end if config.load_end < config.t_end
+            else config.load_ramp)
     step_index = doublings = 0
     prev = None    # (dt, w, P, S increments) of the previous step
     # The ufunc reductions themselves: ndarray.max adds a Python layer.
     amax, fmin, fmax = np.maximum.reduce, np.fmin.reduce, np.fmax.reduce
     while st.t < config.t_end:
+        settled = st.t >= kink - slack    # the step runs under the final load
         remaining = config.t_end - st.t
         h = config.dt * 2**doublings
         dt = h if remaining > h - slack else remaining
@@ -684,11 +690,11 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
                 _make_state(st, rates))
 
         step_index += 1
-        is_steady = max(rates.values()) <= config.steady_tol
-        if (step_index % config.output_every == 0 or is_steady
+        stop = settled and max(rates.values()) <= config.steady_tol
+        if (step_index % config.output_every == 0 or stop
                 or st.t == config.t_end):
             out.append(_make_state(st, rates))
-        if is_steady and config.stop_when_steady:
+        if stop:
             break
 
         # The size of the next step, from the Milne estimate of this one.

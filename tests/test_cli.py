@@ -134,8 +134,8 @@ class TestSchema:
     def test_keys_are_dataclass_fields(self):
         model = {f.name for f in dataclasses.fields(ModelParams)}
         sim = {f.name for f in dataclasses.fields(SimConfig)}
-        assert set(DEFAULTS) == model | (sim - {"stop_when_steady"}) | self.OPTIONS
-        assert len(DEFAULTS) == len(model) + len(sim) - 1 + len(self.OPTIONS)
+        assert set(DEFAULTS) == model | sim | self.OPTIONS
+        assert len(DEFAULTS) == len(model) + len(sim) + len(self.OPTIONS)
 
     def test_defaults_are_dataclass_defaults(self, tmp_path):
         config = self.resolve(tmp_path)
