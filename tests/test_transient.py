@@ -465,7 +465,29 @@ class TestSteadyStop:
 class TestExactLastStep:
     """A run to a t_end that is a whole number of steps away takes only full
     steps and ends at t_end exactly, even where the steps sum to just below
-    it: 30 steps of 0.1/30 sum to 0.1 - 6.9e-17."""
+    it: 30 steps of 0.1/30 sum to 0.1 - 6.9e-17.  A wait at rest for a
+    release likewise takes full steps up to load_end."""
+
+    @pytest.mark.parametrize("N", [600, 760])
+    def test_last_step_keeps_steady_state(self, N):
+        # The last step under the load ends at load_end to rounding (500
+        # steps of 2e-3 sum to 1 + 7e-16) and carries the rest state through
+        # bit for bit; the release acts only in the step after it.
+        cfg = SimConfig(N=N, dt=2e-3, t_end=1.01, load_end=1.0,
+                        output_every=1)
+        states = simulate(HEAVY, cfg, theta0=0.9999)
+        t = np.array([s.t for s in states])
+        i = int(np.argmin(np.abs(t - cfg.load_end)))
+        prev, last = states[i - 1], states[i]
+        assert abs(last.t - cfg.load_end) <= 1e-12
+        assert np.diff(t[:i + 1]) == pytest.approx([cfg.dt] * i, rel=1e-12)
+        assert all(v == 0.0 for v in last.rate_norms.values()), \
+            last.rate_norms
+        assert last.S == prev.S
+        for name in ("w", "P", "varrho", "Theta"):
+            assert np.array_equal(getattr(last, name),
+                                  getattr(prev, name)), name
+        assert states[i + 1].rate_norms["S"] > cfg.steady_tol
 
     def test_last_step_is_full_and_ends_at_t_end(self, monkeypatch):
         monkeypatch.setattr(transient, "MAX_DT_DOUBLINGS", 0)
