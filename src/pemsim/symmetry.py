@@ -129,6 +129,8 @@ class GroupElement:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown group element kind '{self.kind}'")
+        if not math.isfinite(self.parameter):
+            raise ValueError(f"{self.kind} parameter {self.parameter} is not finite")
         if self.kind == "pressure-shift" and self.g is None:
             raise ValueError("pressure-shift needs a time-function payload")
         if self.kind == "displacement-shift" and self.G is None:

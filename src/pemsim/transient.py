@@ -26,9 +26,9 @@ interior stencil rows, so the pivoted band LU solves them to round-off of
 the solution and the step rates fall to zero once the run is steady.
 
 Time steps: backward Euler on the lattice config.dt * 2**k.  Steps stay at
-config.dt until the load has taken its final form; then each step doubles or
-halves on a local error estimate that compares it with the linear
-extrapolation of the step before (the Milne device), which needs no extra
+config.dt until two steps into the load's final form, as at a run's start;
+then each doubles or halves on a local error estimate that compares it with
+the linear extrapolation of the step before (the Milne device), at no extra
 solve.  The relaxation towards the stationary state is exponential, so the
 steps grow across its tail until the estimate holds them (see simulate).
 """
@@ -609,20 +609,19 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
 
     Steps lie on the lattice ``config.dt * 2**k``, 0 <= k <=
     ``MAX_DT_DOUBLINGS``: ``config.dt`` is the smallest step the controller
-    picks, not the largest.  The first two steps, every step that starts
-    before the kink and the step after a halved retry take ``config.dt``,
-    so no grown step crosses a kink.  After any other accepted step, the
-    Milne estimate of its local error sets the next size.  Per variable
-    y = w, P and S, with y_pred the linear extrapolation of the previous
-    step, the ratio
+    picks, not the largest.  The controller restarts at the kink as at the
+    run's start: the first two steps of the run and of the final load,
+    every step before the kink and the step after a halved retry take
+    ``config.dt``, so no grown step crosses a kink and no estimate spans
+    one.  After any other accepted step, the Milne estimate of its local
+    error sets the next size.  Per variable y = w, P and S, with y_pred the
+    linear extrapolation of the previous step, the ratio
 
         dt / (dt + dt_prev) * max|y_new - y_pred| / max|y_new - y_old|
 
     doubles the step when it is at most 0.45 * ``DT_ERROR_RATIO`` for every
     variable, halves it (never below ``config.dt``) when it exceeds
     ``DT_ERROR_RATIO`` for any, and keeps it otherwise; no step is rejected.
-    A step whose w, P and S increments all lie within ``steady_tol * dt``
-    keeps its size, so round-off cannot grow the first step after a rest.
     The ratio is about lambda*dt/2 on a mode decaying at rate lambda, so
     "every rate <= steady_tol" stops a run at the same distance from steady
     state at any step size.  A step whose solve fails is retried at half its
@@ -646,7 +645,7 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
     kink = (config.load_end if config.load_end < config.t_end
             else config.load_ramp)
     step_index = doublings = 0
-    prev = None    # (dt, w, P, S increments) of the previous step
+    prev = None    # the previous step's (dt, w, P, S increments), if settled
     # The ufunc reductions themselves: ndarray.max adds a Python layer.
     amax, fmin, fmax = np.maximum.reduce, np.fmin.reduce, np.fmax.reduce
     while st.t < config.t_end:
@@ -698,24 +697,23 @@ def simulate(params: ModelParams, config: SimConfig, geometry: str = "annulus",
             break
 
         # The size of the next step, from the Milne estimate of this one.
-        if halvings or st.t < kink - slack or prev is None:
+        if halvings or prev is None:
             doublings = 0
         else:
+            # Per variable, the gap between the step and the linear
+            # extrapolation of the one before, over the step's increment.
             dt_prev, dw_prev, dP_prev, dS_prev = prev
             sizes = (amax(np.abs(dw)), dP_max, abs(dS))
-            if max(sizes) > config.steady_tol * dt:
-                # Per variable, the gap between the step and the linear
-                # extrapolation of the one before, over the step's increment.
-                q, c = dt / dt_prev, dt / (dt + dt_prev)
-                misses = (c * amax(np.abs(dw - q * dw_prev)),
-                          c * amax(np.abs(dP - q * dP_prev)),
-                          c * abs(dS - q * dS_prev))
-                if any(m > DT_ERROR_RATIO * s for m, s in zip(misses, sizes)):
-                    doublings = max(doublings - 1, 0)
-                elif all(m <= 0.45 * DT_ERROR_RATIO * s
-                         for m, s in zip(misses, sizes)):
-                    doublings = min(doublings + 1, MAX_DT_DOUBLINGS)
-        prev = dt, dw, dP, dS
+            q, c = dt / dt_prev, dt / (dt + dt_prev)
+            misses = (c * amax(np.abs(dw - q * dw_prev)),
+                      c * amax(np.abs(dP - q * dP_prev)),
+                      c * abs(dS - q * dS_prev))
+            if any(m > DT_ERROR_RATIO * s for m, s in zip(misses, sizes)):
+                doublings = max(doublings - 1, 0)
+            elif all(m <= 0.45 * DT_ERROR_RATIO * s
+                     for m, s in zip(misses, sizes)):
+                doublings = min(doublings + 1, MAX_DT_DOUBLINGS)
+        prev = (dt, dw, dP, dS) if settled else None
     return out
 
 

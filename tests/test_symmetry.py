@@ -159,6 +159,23 @@ class TestApplyGroup:
                 assert moved.eval(comp, (0.3, 0.4, -0.2), d) == pytest.approx(
                     field.eval(comp, (0.3, 0.4, -0.2), d), rel=1e-14, abs=1e-14)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        GroupElement.time_translation,
+        GroupElement.x_translation,
+        GroupElement.y_translation,
+        GroupElement.rotation,
+        lambda eps: GroupElement.concentration_scaling(eps, 1.0),
+        lambda eps: GroupElement.pressure_shift(eps, TimeFunction.sine()),
+        lambda eps: GroupElement.displacement_shift(
+            eps, Poly2([[0], [1]]), Poly2.zero()),
+    ], ids=symmetry.KINDS)
+    def test_non_finite_parameter_rejected(self, make, value):
+        # No residual reads p's value, so a NaN pressure shift would pass
+        # check_invariance without ever entering it.
+        with pytest.raises(ValueError, match="parameter"):
+            make(value)
+
     @pytest.mark.parametrize("point, d", [((0.3, 0.4), None),
                                           ((0.3, 0.4, 0.5, 0.6), None),
                                           ((0.3, 0.4, 0.5), (0, 1)),

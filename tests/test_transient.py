@@ -682,6 +682,23 @@ class TestStepGrowth:
         assert max(states[i].rate_norms.values()) == 0.0
         assert t[i + 1] - t[i] == pytest.approx(cfg.dt)
 
+    @pytest.mark.parametrize("load", [dict(load_end=0.1),
+                                      dict(load_ramp=0.05)],
+                             ids=["release", "ramp"])
+    def test_controller_restarts_at_the_kink(self, load):
+        # As at the run's start, the first two steps under the final load
+        # take dt: no step from before the kink sizes them.  Then the steps
+        # grow again.
+        cfg = SimConfig(N=48, dt=1e-3, t_end=2.0, output_every=1, **load)
+        states = simulate(GENTLE, cfg, theta0=0.7)
+        t = np.array([s.t for s in states])
+        kink = cfg.load_end if cfg.load_end < cfg.t_end else cfg.load_ramp
+        i = int(np.argmin(np.abs(t - kink)))
+        assert t[i] == pytest.approx(kink, abs=1e-12)
+        steps = np.diff(t[i:])
+        assert steps[:2] == pytest.approx([cfg.dt] * 2, rel=1e-9)
+        assert np.max(steps[2:]) >= 2 * cfg.dt * (1 - 1e-9)
+
     @pytest.mark.parametrize("N", [100, 200, 400])
     def test_reference_annulus_takes_no_more_steps(self, N):
         cfg = SimConfig(N=N, dt=2e-3, t_end=3.0, steady_tol=1e-8,
@@ -757,15 +774,25 @@ class TestTimeScaling:
     """Scaling k by s and every time by 1/s is the same run on a faster
     clock: the twin takes the same steps, scaled, and the same boundary."""
 
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_twin_takes_the_same_steps(self, s):
-        # At s = 3 the base run's t after 25 steps rounds just above the
-        # ramp's end and the twin's just below it.
-        cfg = SimConfig(N=100, dt=2e-3, t_end=0.2, steady_tol=1e-8,
-                        load_ramp=0.05, output_every=1)
+    @pytest.mark.parametrize("s, t_end, load_ramp, load_end", [
+        pytest.param(s, t_end, load_ramp, load_end, id=f"{name}{s}")
+        for name, t_end, load_ramp, load_end in [
+            ("", 0.2, 0.05, math.inf),                  # a ramp
+            ("release0.1-", 0.4, 0.0, 0.1),             # a release
+            ("release0.2-", 0.6, 0.0, 0.2),
+            ("ramp-release0.15-", 0.4, 0.05, 0.15),     # both
+        ]
+        for s in (2, 3, 4)])
+    def test_twin_takes_the_same_steps(self, s, t_end, load_ramp, load_end):
+        # In the ramp run at s = 3, the base run's t after 25 steps rounds
+        # just above the ramp's end and the twin's just below it.
+        cfg = SimConfig(N=100, dt=2e-3, t_end=t_end, steady_tol=1e-8,
+                        load_ramp=load_ramp, load_end=load_end,
+                        output_every=1)
         twin = dataclasses.replace(
             cfg, dt=cfg.dt / s, t_end=cfg.t_end / s,
-            steady_tol=s * cfg.steady_tol, load_ramp=cfg.load_ramp / s)
+            steady_tol=s * cfg.steady_tol, load_ramp=cfg.load_ramp / s,
+            load_end=cfg.load_end / s)
         base = simulate(GENTLE, cfg, theta0=0.7)
         scaled = simulate(dataclasses.replace(GENTLE, k=s * GENTLE.k), twin,
                           theta0=0.7)
