@@ -19,6 +19,7 @@ Coordinate conventions:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,9 @@ class ResidualVector:
     """Per-equation residual values at a query point, or arrays over points.
 
     ``max_abs`` reduces over equations and points.  ``scale``, which the
-    Cartesian operator gives, holds each row again with every term replaced
-    by its magnitude: the size that the row's rounding error grows with.
+    Cartesian operator gives, holds the same rows evaluated on magnitudes,
+    with differences taken as sums: the size that each row's rounding error
+    grows with, and a bound on the row's value.
     """
 
     values: dict[str, float | np.ndarray]
@@ -87,6 +89,61 @@ def _elastic_force(E: AnisotropicModuli, u1_xx, u1_yy, u1_xy,
     return f1, f2
 
 
+# The (component, derivative in (t, x, y)) of each value the Cartesian rows
+# read, in the order ``_cartesian_rows`` unpacks them.
+_CARTESIAN_QUERIES = (
+    ("u1", (1, 0, 0)), ("u2", (1, 0, 0)), ("u1", (2, 0, 0)), ("u2", (2, 0, 0)),
+    ("u1", (1, 1, 0)), ("u2", (1, 0, 1)),
+    ("u1", (0, 2, 0)), ("u1", (0, 0, 2)), ("u1", (0, 1, 1)),
+    ("u2", (0, 2, 0)), ("u2", (0, 0, 2)), ("u2", (0, 1, 1)),
+    ("rho", None), ("rho", (1, 0, 0)), ("rho", (0, 1, 0)), ("rho", (0, 0, 1)),
+    ("thetaF", None), ("thetaF", (1, 0, 0)), ("thetaF", (0, 1, 0)),
+    ("thetaF", (0, 0, 1)),
+    ("c", None), ("c", (1, 0, 0)), ("c", (0, 1, 0)), ("c", (0, 0, 1)),
+    ("c", (0, 2, 0)), ("c", (0, 0, 2)),
+    ("p", (0, 1, 0)), ("p", (0, 0, 1)), ("p", (0, 2, 0)), ("p", (0, 0, 2)),
+)
+
+
+def _cartesian_rows(values, E: AnisotropicModuli, params: ModelParams, s1,
+                    minus) -> dict[str, float | np.ndarray]:
+    """The six Cartesian rows from the ``_CARTESIAN_QUERIES`` values.
+
+    ``minus`` forms every difference: ``operator.sub`` gives the residuals,
+    and ``operator.add`` on magnitudes gives their rounding scale, which
+    bounds each residual since rounding to nearest is monotone.  k, D, S,
+    rho_f0 and the stiffness entries are never negative.
+    """
+    (u1_t, u2_t, u1_tt, u2_tt, u1_tx, u2_ty, u1_xx, u1_yy, u1_xy,
+     u2_xx, u2_yy, u2_xy, rho, rho_t, rho_x, rho_y, th, th_t, th_x, th_y,
+     c, c_t, c_x, c_y, c_xx, c_yy, p_x, p_y, p_xx, p_yy) = values
+    k, D, S = params.k, params.D, params.S_sieve
+    c_lap = c_xx + c_yy
+    ps_x = minus(p_x, s1 * c_x)
+    ps_y = minus(p_y, s1 * c_y)
+    ps_lap = minus(p_xx + p_yy, s1 * c_lap)
+
+    div_ut = u1_tx + u2_ty
+    inertia = rho_t + rho * div_ut
+    f1, f2 = _elastic_force(E, u1_xx, u1_yy, u1_xy, u2_xx, u2_yy, u2_xy)
+    cth_t = c_t * th + c * th_t
+    cth_x = c_x * th + c * th_x
+    cth_y = c_y * th + c * th_y
+    return {
+        "continuity": minus(2.0 * div_ut, k * ps_lap),
+        "momentum1": minus(rho * u1_tt + u1_t * inertia, minus(f1, ps_x)),
+        "momentum2": minus(rho * u2_tt + u2_t * inertia, minus(f2, ps_y)),
+        "density": minus(rho_t + u1_t * rho_x + u2_t * rho_y,
+                         k * minus(params.rho_f0, rho) * ps_lap),
+        "porosity": minus(th_t + u1_t * th_x + u2_t * th_y,
+                          k * minus(1.0, th) * ps_lap),
+        "solute": minus(minus(minus(cth_t + u1_t * cth_x + u2_t * cth_y,
+                                    D * c_lap),
+                              k * minus(S, th) * c * ps_lap),
+                        k * S * (c_x * ps_x + c_y * ps_y)),
+    }
+
+
 def residual_cartesian_iso(field: FieldSource, params: ModelParams,
                            point) -> ResidualVector:
     """Residuals of the isotropic six-equation Cartesian system at a point.
@@ -104,97 +161,29 @@ def residual_cartesian_aniso(field: FieldSource, moduli: AnisotropicModuli,
 
     ``point`` is (t, x, y) of floats, or of arrays (n stacked points, say);
     the operator is elementwise, so each residual then equals the float
-    query at its point bit for bit.  The momentum pair carries the elastic force of the stiffness matrix
-    ``moduli``; the volume-balance residual is doubled relative to the
-    halved-conductivity form.  Effective pressure p - sigma1*c is
-    substituted internally, so the field only supplies the primitive
-    components.
+    query at its point bit for bit.  The momentum pair carries the elastic
+    force of the stiffness matrix ``moduli``; the volume-balance residual
+    is doubled relative to the halved-conductivity form.  Effective
+    pressure p - sigma1*c is substituted internally, so the field only
+    supplies the primitive components.
+
+    ``scale`` is the same rows evaluated on magnitudes: every derivative
+    and sigma1 replaced by its absolute value, and every difference taken
+    as a sum.
     """
     point = _split_point(point, 3)
     e = field.eval
-    s1, k, D, S = params.sigma1, params.k, params.D, params.S_sieve
-    u1_t = e("u1", point, (1, 0, 0))
-    u2_t = e("u2", point, (1, 0, 0))
-    u1_tt = e("u1", point, (2, 0, 0))
-    u2_tt = e("u2", point, (2, 0, 0))
-    u1_tx = e("u1", point, (1, 1, 0))
-    u2_ty = e("u2", point, (1, 0, 1))
-    u1_xx = e("u1", point, (0, 2, 0))
-    u1_yy = e("u1", point, (0, 0, 2))
-    u1_xy = e("u1", point, (0, 1, 1))
-    u2_xx = e("u2", point, (0, 2, 0))
-    u2_yy = e("u2", point, (0, 0, 2))
-    u2_xy = e("u2", point, (0, 1, 1))
-    rho = e("rho", point)
-    rho_t = e("rho", point, (1, 0, 0))
-    rho_x = e("rho", point, (0, 1, 0))
-    rho_y = e("rho", point, (0, 0, 1))
-    th = e("thetaF", point)
-    th_t = e("thetaF", point, (1, 0, 0))
-    th_x = e("thetaF", point, (0, 1, 0))
-    th_y = e("thetaF", point, (0, 0, 1))
-    c = e("c", point)
-    c_t = e("c", point, (1, 0, 0))
-    c_x = e("c", point, (0, 1, 0))
-    c_y = e("c", point, (0, 0, 1))
-    c_xx = e("c", point, (0, 2, 0))
-    c_yy = e("c", point, (0, 0, 2))
-    p_x = e("p", point, (0, 1, 0))
-    p_y = e("p", point, (0, 0, 1))
-    p_xx = e("p", point, (0, 2, 0))
-    p_yy = e("p", point, (0, 0, 2))
-    c_lap = c_xx + c_yy
-    ps_x = p_x - s1 * c_x
-    ps_y = p_y - s1 * c_y
-    ps_lap = p_xx + p_yy - s1 * c_lap
+    values = [e(name, point, d) for name, d in _CARTESIAN_QUERIES]
+    return ResidualVector(
+        _cartesian_rows(values, moduli, params, params.sigma1, operator.sub),
+        _cartesian_rows(map(abs, values), moduli, params,
+                        abs(params.sigma1), operator.add))
 
-    div_ut = u1_tx + u2_ty
-    continuity = 2.0 * div_ut - k * ps_lap
-    inertia = rho_t + rho * div_ut
-    f1, f2 = _elastic_force(moduli, u1_xx, u1_yy, u1_xy, u2_xx, u2_yy, u2_xy)
-    mom1 = rho * u1_tt + u1_t * inertia - (f1 - ps_x)
-    mom2 = rho * u2_tt + u2_t * inertia - (f2 - ps_y)
-    density = (rho_t + u1_t * rho_x + u2_t * rho_y
-               - k * (params.rho_f0 - rho) * ps_lap)
-    porosity = th_t + u1_t * th_x + u2_t * th_y - k * (1.0 - th) * ps_lap
-    cth_t = c_t * th + c * th_t
-    cth_x = c_x * th + c * th_x
-    cth_y = c_y * th + c * th_y
-    solute = (cth_t + u1_t * cth_x + u2_t * cth_y - D * c_lap
-              - k * (S - th) * c * ps_lap - k * S * (c_x * ps_x + c_y * ps_y))
 
-    # The rows again with every term replaced by its magnitude.  k, D, S
-    # and rho_f0 are positive and no stiffness entry is negative.
-    A = abs
-    u1_t_m, u2_t_m, rho_m, th_m, c_m = A(u1_t), A(u2_t), A(rho), A(th), A(c)
-    c_x_m, c_y_m, rho_t_m, s1_m = A(c_x), A(c_y), A(rho_t), A(s1)
-    th_t_m, th_x_m, th_y_m = A(th_t), A(th_x), A(th_y)
-    div_m = A(u1_tx) + A(u2_ty)
-    c_lap_m = A(c_xx) + A(c_yy)
-    ps_x_m = A(p_x) + s1_m * c_x_m
-    ps_y_m = A(p_y) + s1_m * c_y_m
-    ps_lap_m = A(p_xx) + A(p_yy) + s1_m * c_lap_m
-    inertia_m = rho_t_m + rho_m * div_m
-    f1_m, f2_m = _elastic_force(moduli, A(u1_xx), A(u1_yy), A(u1_xy),
-                                A(u2_xx), A(u2_yy), A(u2_xy))
-    scale = {
-        "continuity": 2.0 * div_m + k * ps_lap_m,
-        "momentum1": rho_m * A(u1_tt) + u1_t_m * inertia_m + f1_m + ps_x_m,
-        "momentum2": rho_m * A(u2_tt) + u2_t_m * inertia_m + f2_m + ps_y_m,
-        "density": (rho_t_m + u1_t_m * A(rho_x) + u2_t_m * A(rho_y)
-                    + k * (params.rho_f0 + rho_m) * ps_lap_m),
-        "porosity": (th_t_m + u1_t_m * th_x_m + u2_t_m * th_y_m
-                     + k * (1.0 + th_m) * ps_lap_m),
-        "solute": (A(c_t) * th_m + c_m * th_t_m
-                   + u1_t_m * (c_x_m * th_m + c_m * th_x_m)
-                   + u2_t_m * (c_y_m * th_m + c_m * th_y_m) + D * c_lap_m
-                   + k * (S + th_m) * c_m * ps_lap_m
-                   + k * S * (c_x_m * ps_x_m + c_y_m * ps_y_m)),
-    }
-    return ResidualVector({
-        "continuity": continuity, "momentum1": mom1, "momentum2": mom2,
-        "density": density, "porosity": porosity, "solute": solute,
-    }, scale)
+def _positive(r) -> bool:
+    """Whether the radius r, a float or an array, is > 0 at every element;
+    NaN is not.  A float takes no numpy call."""
+    return bool(np.all(r > 0.0)) if isinstance(r, np.ndarray) else r > 0.0
 
 
 def residual_radial_full(field: FieldSource, params: ModelParams,
@@ -208,7 +197,7 @@ def residual_radial_full(field: FieldSource, params: ModelParams,
     """
     point = _split_point(point, 3)
     t, r, phi = point
-    if not r > 0.0:
+    if not _positive(r):
         raise ValueError(f"polar residuals need r > 0, got r = {r}")
     e = field.eval
     k, D, S = params.k, params.D, params.S_sieve
@@ -290,7 +279,7 @@ def residual_ring(field: FieldSource, params: ModelParams,
     """
     point = _split_point(point, 2)
     t, r = point
-    if not r > 0.0:
+    if not _positive(r):
         raise ValueError(f"ring residuals need r > 0, got r = {r}")
     e = field.eval
     k, ls = params.k, lame_star(params)
@@ -327,9 +316,9 @@ def terzaghi_stress_radial(w: float, w_r: float, P: float, r: float,
     """Diagonal Terzaghi stress components for a radially symmetric state.
 
     Returns (tau_rr, tau_phiphi); the radial traction tau_rr is what the
-    boundary load balances.
+    boundary load balances.  Accepts floats or arrays.
     """
-    if r <= 0.0:
+    if not _positive(r):
         raise ValueError("stress evaluation requires r > 0")
     ls = lame_star(params)
     tau11 = -P + ls * w_r + params.lam / r * w

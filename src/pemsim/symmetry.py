@@ -397,7 +397,7 @@ def check_invariance(element: GroupElement, field: FieldSource,
     e^eps in the solute equation for the concentration scaling, and rotated
     as a vector in the momentum pair for rotations.  Each row's tolerance
     is ``rtol`` times the largest of 1, every residual norm seen and the
-    row's rounding scale: the row with every term replaced by its magnitude
+    row's rounding scale: the same row evaluated on magnitudes
     (``ResidualVector.scale``), at its largest over the points of either
     side.  So a large exact shift, whose terms cancel only to rounding,
     passes, while a defect above rounding still fails; ``rtol = 0`` makes

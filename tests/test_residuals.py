@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from pemsim.core import AnisotropicModuli, ModelParams, lame_star
-from pemsim.fields import (GridFieldSource, PolyFieldSource, ProfileSource,
+from pemsim.fields import (CARTESIAN_COMPONENTS, GridFieldSource,
+                           PolyFieldSource, ProfileSource,
                            random_polynomial_field)
 from pemsim.polynomials import PolyTXY
-from pemsim.residuals import (ResidualVector, residual_cartesian_aniso,
+from pemsim.residuals import (CARTESIAN_EQUATIONS, ResidualVector,
+                              residual_cartesian_aniso,
                               residual_cartesian_iso, residual_radial_full,
                               residual_ring, terzaghi_stress_radial)
 from pemsim.polynomials import random_harmonic
@@ -82,6 +86,40 @@ class TestCartesianAniso:
                 scale = max(1.0, ri.max_abs())
                 for eq in ri.equations:
                     assert abs(ri[eq] - ra[eq]) <= 1e-12 * scale
+
+
+class TestRoundingScale:
+    """``scale`` is the rows evaluated on magnitudes."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=hst.integers(0, 2**32 - 1), anisotropic=hst.booleans(),
+           sigma1=hst.floats(-2.0, 2.0))
+    def test_scale_ignores_signs_and_bounds_each_row(self, seed, anisotropic,
+                                                     sigma1):
+        # Negating a component's polynomial negates every derivative of it
+        # exactly, so no magnitude moves.  Each rounding is monotone, so
+        # the rows on magnitudes bound the rows' values bit for bit.
+        rng = np.random.default_rng(seed)
+        field = random_polynomial_field(rng, degree=3, time_degree=2)
+        moduli = (AnisotropicModuli(*rng.uniform(0.1, 3.0, 3),
+                                    *rng.uniform(0.0, 1.0, 3)) if anisotropic
+                  else AnisotropicModuli.isotropic(PARAMS.lam, PARAMS.mu))
+        params = ModelParams.reference(F0=16 * math.pi, sigma1=sigma1)
+        point = tuple(rng.uniform(-1.5, 1.5, (3, 10)))
+        res = residual_cartesian_aniso(field, moduli, params, point)
+        for eq in CARTESIAN_EQUATIONS:
+            assert np.all(np.abs(res[eq]) <= res.scale[eq]), eq
+
+        flipped = [residual_cartesian_aniso(field, moduli, ModelParams.reference(
+            F0=16 * math.pi, sigma1=-sigma1), point)]
+        for name in CARTESIAN_COMPONENTS:
+            negated = PolyFieldSource(field.components)
+            negated.components[name] = PolyTXY(-field.components[name].coeffs)
+            flipped.append(residual_cartesian_aniso(negated, moduli, params,
+                                                    point))
+        for other in flipped:
+            for eq in CARTESIAN_EQUATIONS:
+                assert np.array_equal(other.scale[eq], res.scale[eq]), eq
 
 
 class TestTerzaghiStress:
@@ -341,3 +379,46 @@ class TestNanStaysVisible:
             residual_ring(ring, PARAMS, (0.0, math.nan))
         with pytest.raises(ValueError, match="r > 0"):
             residual_radial_full(polar, PARAMS, (0.0, math.nan, 0.3))
+        with pytest.raises(ValueError, match="r > 0"):
+            terzaghi_stress_radial(0.0, 0.0, 0.0, math.nan, PARAMS)
+
+
+class TestArrayRadius:
+    """The polar operators and the stress take array radii like floats."""
+
+    R = np.array([1.1, 1.25, 1.4])
+    PHI = np.array([0.3, -1.2, 2.6])
+
+    @staticmethod
+    def sources():
+        sol = dirichlet_solution(PARAMS, 1.5)
+        return (sol.as_ring_source(rho=1.2, theta=0.4),
+                sol.as_polar_source(rho=1.2, theta=0.4), sol)
+
+    def test_array_query_equals_float_queries(self):
+        ring, polar, sol = self.sources()
+        res = residual_ring(ring, PARAMS, (0.0, self.R))
+        full = residual_radial_full(polar, PARAMS, (0.2, self.R, self.PHI))
+        states = [(sol.displacement(r), sol.displacement_r(r),
+                   sol.pressure(r)) for r in self.R.tolist()]
+        stress = terzaghi_stress_radial(*np.array(states).T, self.R, PARAMS)
+        for i, (r, phi) in enumerate(zip(self.R.tolist(), self.PHI.tolist())):
+            one = residual_ring(ring, PARAMS, (0.0, r))
+            assert all(res[eq][i] == one[eq] for eq in one.equations)
+            one = residual_radial_full(polar, PARAMS, (0.2, r, phi))
+            assert all(full[eq][i] == one[eq] for eq in one.equations)
+            assert (stress[0][i], stress[1][i]) == terzaghi_stress_radial(
+                *states[i], r, PARAMS)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_array_holding_a_bad_radius_rejected(self, bad):
+        ring, polar, _ = self.sources()
+        r = self.R.copy()
+        r[1] = bad
+        with pytest.raises(ValueError, match="ring residuals need r > 0"):
+            residual_ring(ring, PARAMS, (0.0, r))
+        with pytest.raises(ValueError, match="polar residuals need r > 0"):
+            residual_radial_full(polar, PARAMS, (0.2, r, self.PHI))
+        with pytest.raises(ValueError, match="requires r > 0"):
+            terzaghi_stress_radial(np.zeros(3), np.zeros(3), np.zeros(3), r,
+                                   PARAMS)
