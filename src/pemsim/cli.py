@@ -20,19 +20,18 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .core import ModelParams, ParameterError
-from .fields import random_polynomial_field
-from .polynomials import Poly2
-from .residuals import terzaghi_stress_radial
+from .core import ModelParams, ParameterError, SimConfig, SimulationError
 from .stationary import (NoRootError, bisect_root, dirichlet_solution,
                          neumann_solution, rst_cubic, rst_dirichlet)
-from .symmetry import (GroupElement, HarmonicPotentialPair, TimeFunction,
-                       check_invariance, generate_displacement_symmetry)
-from .transient import SimConfig, SimulationError, simulate, steady_state_check
+
+# Each command imports the rest of the library it needs when it runs, so a
+# cold start compiles and executes only those modules.
+if TYPE_CHECKING:
+    from .symmetry import GroupElement
 
 __all__ = ["main", "ConfigError", "RunConfig"]
 
@@ -80,7 +79,10 @@ def _coerce(key: str, value: str) -> object:
                 return False
             raise ValueError
         if kind is int:
-            as_float = float(text)
+            try:
+                return int(text)
+            except ValueError:   # a whole number written as "16.0" or "1e3"
+                as_float = float(text)
             if as_float != int(as_float):
                 raise ValueError
             return int(as_float)
@@ -250,6 +252,8 @@ def _resolve_r_st(config: RunConfig) -> float:
 
 
 def cmd_stationary(config: RunConfig) -> int:
+    from .residuals import terzaghi_stress_radial
+
     params = config.params
     case = str(config.options["case"])
     samples = int(config.options["samples"])
@@ -298,6 +302,8 @@ def cmd_rst(config: RunConfig) -> int:
 
 
 def cmd_transient(config: RunConfig) -> int:
+    from .transient import simulate, steady_state_check
+
     params = config.params
     geometry = str(config.options["geometry"])
     try:
@@ -342,14 +348,13 @@ def cmd_transient(config: RunConfig) -> int:
     return 0
 
 
-_BROKEN_G = (Poly2([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), Poly2([[0.0]]))
-
-
 def _symmetry_elements(names: Sequence[str], params: ModelParams,
                        seed: int) -> list[tuple[str, GroupElement]]:
-    rng = np.random.default_rng(seed)
-    from .polynomials import random_harmonic
+    from .polynomials import Poly2, random_harmonic
+    from .symmetry import (GroupElement, HarmonicPotentialPair, TimeFunction,
+                           generate_displacement_symmetry)
 
+    rng = np.random.default_rng(seed)
     out = []
     for name in names:
         if name == "pressure-shift":
@@ -370,7 +375,8 @@ def _symmetry_elements(names: Sequence[str], params: ModelParams,
         elif name == "y-translation":
             el = GroupElement.y_translation(0.25)
         elif name == "broken-displacement":
-            el = GroupElement.displacement_shift(1.0, *_BROKEN_G)
+            el = GroupElement.displacement_shift(
+                1.0, Poly2([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), Poly2([[0.0]]))
         else:
             raise ConfigError(f"unknown symmetry element '{name}'")
         out.append((name, el))
@@ -378,6 +384,9 @@ def _symmetry_elements(names: Sequence[str], params: ModelParams,
 
 
 def cmd_symmetry(config: RunConfig) -> int:
+    from .fields import random_polynomial_field
+    from .symmetry import check_invariance
+
     params = config.params
     seed = int(config.options["seed"])
     rtol = float(config.options["tol"])
@@ -461,6 +470,16 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Every subcommand takes the same options, declared once.
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", default=None,
+                         help="key = value config file")
+    for key in DEFAULTS:
+        flags = [f"--{key}"]
+        if "_" in key:
+            flags.append(f"--{key.replace('_', '-')}")
+        flags += [f"--{a}" for a, target in _ALIASES.items() if target == key]
+        options.add_argument(*flags, dest=key, default=None)
     parser = argparse.ArgumentParser(
         prog="pemsim",
         description="Fluid transport in 2D poroelastic materials: stationary "
@@ -468,14 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "moving-boundary consolidation, and symmetry verification.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key = value config file")
-        for key in DEFAULTS:
-            flags = [f"--{key}"]
-            if "_" in key:
-                flags.append(f"--{key.replace('_', '-')}")
-            flags += [f"--{a}" for a, target in _ALIASES.items() if target == key]
-            p.add_argument(*flags, dest=key, default=None)
+        sub.add_parser(name, parents=[options])
     return parser
 
 

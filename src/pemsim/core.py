@@ -5,11 +5,17 @@ fluid-saturated pores) under Terzaghi effective stress.  All quantities are
 dimensionless; a consistent nondimensionalization (characteristic length
 ``R0``, characteristic pressure ``mu`` unless the user picks otherwise) is
 assumed throughout.
+
+The numerical controls of a transient run (:class:`SimConfig`) and the
+error it raises when a step cannot be solved (:class:`SimulationError`)
+live here too: both are parameters and validation only, so the command-line
+schema builds from this module without loading the solver.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields as dataclass_fields
 
 __all__ = [
@@ -17,6 +23,8 @@ __all__ = [
     "ModelParams",
     "AnisotropicModuli",
     "lame_star",
+    "SimConfig",
+    "SimulationError",
 ]
 
 
@@ -143,3 +151,51 @@ class AnisotropicModuli:
         """Embed isotropic Lame coefficients into the stiffness matrix."""
         return cls(e11=lam + 2.0 * mu, e22=lam + 2.0 * mu, e33=mu,
                    e12=lam, e13=0.0, e23=0.0)
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Numerical controls for one simulation run."""
+
+    N: int = 200
+    dt: float = 2e-3
+    t_end: float = 3.0
+    quasi_static: bool = True
+    steady_tol: float = 1e-9
+    load_ramp: float = 0.0           # 0 = step load
+    load_end: float = math.inf       # time at which the load is removed
+    traction_form: str = "annulus"   # "annulus": -F0/(2 pi S); "ring": p_a - F0
+    output_every: int = 10
+
+    def __post_init__(self) -> None:
+        for name in ("N", "output_every"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+        if self.N < 16:
+            raise ValueError("N must be at least 16")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
+        if not 0 < self.steady_tol < math.inf:
+            raise ValueError("steady_tol must be positive and finite")
+        if not 0 <= self.load_ramp < math.inf:
+            raise ValueError("load_ramp must be finite and >= 0")
+        if math.isnan(self.load_end):
+            raise ValueError("load_end must be a number")
+        if self.traction_form not in ("annulus", "ring"):
+            raise ValueError("traction_form must be 'annulus' or 'ring'")
+        if self.output_every < 1:
+            raise ValueError("output_every must be >= 1")
+
+
+class SimulationError(RuntimeError):
+    """Per-step solve failed to converge (after adaptive step halving)."""
+
+    def __init__(self, message: str, iterations: int = 0,
+                 last_residual: float = float("nan")):
+        super().__init__(message)
+        self.iterations = iterations
+        self.last_residual = last_residual

@@ -18,12 +18,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .core import ModelParams, ParameterError, lame_star
-from .fields import ProfileSource, RadialCartesianSource
+
+if TYPE_CHECKING:   # the as_*_source methods import these on first use
+    from .fields import ProfileSource, RadialCartesianSource
 
 __all__ = [
     "NoRootError",
@@ -87,6 +89,8 @@ class StationarySolution:
         ``rho`` and ``theta`` accept constants or (f, f', f'') profile
         triples; the stationary equations hold for any smooth choice.
         """
+        from .fields import ProfileSource
+
         return ProfileSource(
             {"w": self._w_profile(), "P": self._p_profile(),
              "rho": rho, "theta": theta},
@@ -95,6 +99,8 @@ class StationarySolution:
 
     def as_polar_source(self, rho=1.0, theta=0.5) -> ProfileSource:
         """Embed as a static (t, r, phi) source for the full polar residuals."""
+        from .fields import ProfileSource
+
         return ProfileSource(
             {"w1": self._w_profile(), "w2": 0.0, "P": self._p_profile(),
              "rho": rho, "theta": theta, "C": 0.0},
@@ -105,6 +111,8 @@ class StationarySolution:
                             thetaF: float = 0.5) -> RadialCartesianSource:
         """Embed as a static Cartesian field source (exact solution of the
         full six-equation system away from the origin)."""
+        from .fields import RadialCartesianSource
+
         return RadialCartesianSource(self._w_profile(), self._p_profile(),
                                      rho=rho, thetaF=thetaF)
 

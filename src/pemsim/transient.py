@@ -38,14 +38,14 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, ParameterError, lame_star
+from .core import (ModelParams, ParameterError, SimConfig, SimulationError,
+                   lame_star)
 from .fields import GridFieldSource, fd1
 from .stationary import neumann_solution
 
@@ -74,60 +74,12 @@ MAX_DT_DOUBLINGS = 10
 DT_ERROR_RATIO = 0.1
 
 
-class SimulationError(RuntimeError):
-    """Per-step solve failed to converge (after adaptive step halving)."""
-
-    def __init__(self, message: str, iterations: int = 0,
-                 last_residual: float = float("nan")):
-        super().__init__(message)
-        self.iterations = iterations
-        self.last_residual = last_residual
-
-
 class PhysicalBoundsError(SimulationError):
     """Porosity or density left its physical range; carries the bad state."""
 
     def __init__(self, message: str, state: "RadialState"):
         super().__init__(message)
         self.state = state
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Numerical controls for one simulation run."""
-
-    N: int = 200
-    dt: float = 2e-3
-    t_end: float = 3.0
-    quasi_static: bool = True
-    steady_tol: float = 1e-9
-    load_ramp: float = 0.0           # 0 = step load
-    load_end: float = math.inf       # time at which the load is removed
-    traction_form: str = "annulus"   # "annulus": -F0/(2 pi S); "ring": p_a - F0
-    output_every: int = 10
-
-    def __post_init__(self) -> None:
-        for name in ("N", "output_every"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
-        if self.N < 16:
-            raise ValueError("N must be at least 16")
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
-        if not 0 < self.t_end < math.inf:
-            raise ValueError("t_end must be positive and finite")
-        if not 0 < self.steady_tol < math.inf:
-            raise ValueError("steady_tol must be positive and finite")
-        if not 0 <= self.load_ramp < math.inf:
-            raise ValueError("load_ramp must be finite and >= 0")
-        if math.isnan(self.load_end):
-            raise ValueError("load_end must be a number")
-        if self.traction_form not in ("annulus", "ring"):
-            raise ValueError("traction_form must be 'annulus' or 'ring'")
-        if self.output_every < 1:
-            raise ValueError("output_every must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,15 @@ from pemsim.stationary import rst_cubic
 from pemsim.transient import SimConfig
 
 
+def src_env():
+    """Environment for a fresh interpreter that imports pemsim from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -147,6 +156,13 @@ class TestSchema:
         cfg.write_text("t_end = 2\n")
         sim = self.resolve(tmp_path, "--config", str(cfg)).sim
         assert sim.t_end == 2.0 and isinstance(sim.t_end, float)
+
+    def test_integer_keys_keep_every_digit(self, tmp_path):
+        big = 2**53 + 1   # the nearest float is 2**53
+        config = self.resolve(tmp_path, "--seed", str(big), "--N", "1e3",
+                              "--samples", "16.0")
+        assert config.options["seed"] == big
+        assert config.sim.N == 1000 and config.options["samples"] == 16
 
 
 class TestStationaryCommand:
@@ -399,16 +415,53 @@ print("optimize:", "scipy.optimize" in scipy_modules())
 """
 
     def test_cli_commands_load_no_scipy(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=300)
+            env=src_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert "cold: []" in lines
         assert "flapack: True" in lines
         assert "linalg: False" in lines
         assert "optimize: False" in lines
+
+
+class TestColdPathModules:
+    """A cold start loads only the pemsim modules its command runs:
+    ``import pemsim`` resolves its exports on first use, and each command
+    imports the rest of the library when it runs."""
+
+    # Runs the package as ``python -m pemsim`` does and lists what it loaded.
+    SCRIPT = """
+import runpy, sys
+try:
+    runpy.run_module("pemsim", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("pemsim."))))
+"""
+    CLOSED_FORM = {"cli", "core", "stationary"}
+    ORACLES = CLOSED_FORM | {"residuals", "fields", "polynomials"}
+
+    def loaded(self, *argv):
+        proc = subprocess.run([sys.executable, *argv], env=src_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        names = proc.stdout.splitlines()[-1].split() if proc.stdout else []
+        return {name.removeprefix("pemsim.") for name in names} - {"__main__"}
+
+    def test_import_loads_no_submodule_and_no_numpy(self):
+        script = ("import sys, pemsim; print(' '.join(m for m in sys.modules"
+                  " if m.startswith('pemsim.') or m == 'numpy'))")
+        assert self.loaded("-c", script) == set()
+
+    @pytest.mark.parametrize("args, modules", [
+        (["rst"], CLOSED_FORM),
+        (["sweep", "--sweep_values", "10,20"], CLOSED_FORM),
+        (["stationary"], ORACLES),
+        (["symmetry"], ORACLES | {"symmetry"}),
+        (["transient"], CLOSED_FORM | {"fields", "polynomials", "transient"}),
+    ], ids=["rst", "sweep", "stationary", "symmetry", "transient"])
+    def test_command_loads_only_its_modules(self, args, modules, tmp_path):
+        assert self.loaded("-c", self.SCRIPT, *args,
+                           "--out", str(tmp_path)) == modules
